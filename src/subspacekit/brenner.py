@@ -27,7 +27,7 @@ read off one block at a time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -156,17 +156,7 @@ class BrennerDecomposition:
 
     @property
     def invariants(self) -> InvariantVector:
-        return InvariantVector(
-            self.common.dim,
-            self.pair_23.dim,
-            self.pair_13.dim,
-            self.pair_12.dim,
-            self.single_1.dim,
-            self.single_2.dim,
-            self.single_3.dim,
-            self.triangle_3.dim,
-            self.outside.dim,
-        )
+        return _invariants_of(vars(self))
 
     @property
     def trusted(self) -> bool:
@@ -254,109 +244,121 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     }
 
 
+def _invariants_of(pieces) -> InvariantVector:
+    """Multiplicity vector read off the pieces of a skeleton or of a
+    decomposition (a mapping from piece names to subspaces): the dimension
+    of each piece, with the third triangle family standing for the
+    triangle count."""
+    return InvariantVector(*(
+        pieces["triangle_3" if name == "triangle" else name].dim for name in SLOT_NAMES
+    ))
+
+
 def brenner_invariants(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantVector:
     """Multiplicity vector of a three-subspace system, without building the
     change of basis.  Cheaper than :func:`brenner_decompose` and enough for
     isomorphism testing."""
     _require_arity_three(system)
-    pieces = _skeleton(system, tol)
-    return InvariantVector(
-        pieces["common"].dim,
-        pieces["pair_23"].dim,
-        pieces["pair_13"].dim,
-        pieces["pair_12"].dim,
-        pieces["single_1"].dim,
-        pieces["single_2"].dim,
-        pieces["single_3"].dim,
-        pieces["triangle_3"].dim,
-        pieces["outside"].dim,
-    )
+    return _invariants_of(_skeleton(system, tol))
 
 
 def brenner_decompose(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> BrennerDecomposition:
     """Full canonical decomposition of a three-subspace system.
 
     Builds the eleven block subspaces, the invertible change of basis onto
-    the coordinate normal form, and a residual certifying the result.
-    Rank-decision inconsistencies raise :class:`ConditioningError`;
-    near-cutoff singular values are captured as warnings on the result.
+    the coordinate normal form, and a residual certifying the result.  The
+    intersection skeleton is computed once and serves both the invariants
+    and the change of basis.  Rank-decision inconsistencies raise
+    :class:`ConditioningError`; near-cutoff singular values are captured as
+    warnings on the result.
     """
     _require_arity_three(system)
-    e1, e2, e3 = system.subspaces
-    n = system.ambient_dim
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pieces = _skeleton(system, tol)
-        triangle_3 = pieces["triangle_3"]
-        k = triangle_3.dim
+        decomposition = _assemble(system, pieces, tol)
+    return replace(decomposition, warnings=_conditioning_notes(caught))
 
-        sigma_min = None
-        if k:
-            frame, t_matrix = sum_operator_matrix(e1, e2, tol)
-            spectrum = np.linalg.svd(t_matrix, compute_uv=False)
-            sigma_min = float(spectrum[-1])
-            if spectrum[0] / sigma_min > tol.cond_warn:
-                warnings.warn(
-                    f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}",
-                    ConditioningWarning,
-                    stacklevel=2,
-                )
-            # Oblique split q = q1 + q2 with q1 in E1, q2 in E2, through
-            # the inverse of the restricted sum operator.
-            coeff = np.linalg.solve(t_matrix, frame.conj().T @ triangle_3.basis)
-            lifted = frame @ coeff
-            q1_vectors = e1.basis @ (e1.basis.conj().T @ lifted)
-            q2_vectors = triangle_3.basis - q1_vectors
-            triangle_1 = _family(q1_vectors, k, tol, "first triangle family")
-            triangle_2 = _family(q2_vectors, k, tol, "second triangle family")
-        else:
-            q1_vectors = np.zeros((n, 0), dtype=np.complex128)
-            q2_vectors = np.zeros((n, 0), dtype=np.complex128)
-            triangle_1 = Subspace.zero(n)
-            triangle_2 = Subspace.zero(n)
 
-        # Change of basis: blocks in slot order, with the triangle columns
-        # kept raw (q1 then q2) so that the third family lands exactly on
-        # the diagonal pairs of coordinates.
-        columns = [
-            pieces["common"].basis,
-            pieces["pair_23"].basis,
-            pieces["pair_13"].basis,
-            pieces["pair_12"].basis,
-            pieces["single_1"].basis,
-            pieces["single_2"].basis,
-            pieces["single_3"].basis,
-            q1_vectors,
-            q2_vectors,
-            pieces["outside"].basis,
-        ]
-        block_matrix = np.hstack(columns)
-        if block_matrix.shape[1] != n:
-            raise ConditioningError(
-                f"blocks supply {block_matrix.shape[1]} directions for ambient dimension {n}"
-            )
-        spectrum = np.linalg.svd(block_matrix, compute_uv=False)
-        if _numerical_rank(spectrum, tol) != n:
-            raise ConditioningError("block directions are numerically dependent")
-        condition = float(spectrum[0] / spectrum[-1])
-        if condition > tol.cond_warn:
+def _conditioning_notes(caught) -> tuple:
+    """Messages of the captured :class:`ConditioningWarning` instances;
+    anything unrelated is passed through to the caller."""
+    for w in caught:
+        if not issubclass(w.category, ConditioningWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return tuple(
+        str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)
+    )
+
+
+def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
+    """Everything after the skeleton: the oblique split of the triangle
+    part, the change of basis and the normal-form residual.  The result
+    carries no warnings; the caller decides what to do with any raised."""
+    e1, e2, e3 = system.subspaces
+    n = system.ambient_dim
+    triangle_3 = pieces["triangle_3"]
+    k = triangle_3.dim
+
+    sigma_min = None
+    if k:
+        frame, t_matrix = sum_operator_matrix(e1, e2, tol)
+        spectrum = np.linalg.svd(t_matrix, compute_uv=False)
+        sigma_min = float(spectrum[-1])
+        if spectrum[0] / sigma_min > tol.cond_warn:
             warnings.warn(
-                f"change of basis has condition {condition:.3e}",
+                f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}",
                 ConditioningWarning,
                 stacklevel=2,
             )
-        change_of_basis = np.linalg.inv(block_matrix)
+        # Oblique split q = q1 + q2 with q1 in E1, q2 in E2, through
+        # the inverse of the restricted sum operator.
+        coeff = np.linalg.solve(t_matrix, frame.conj().T @ triangle_3.basis)
+        lifted = frame @ coeff
+        q1_vectors = e1.basis @ (e1.basis.conj().T @ lifted)
+        q2_vectors = triangle_3.basis - q1_vectors
+        triangle_1 = _family(q1_vectors, k, tol, "first triangle family")
+        triangle_2 = _family(q2_vectors, k, tol, "second triangle family")
+    else:
+        q1_vectors = np.zeros((n, 0), dtype=np.complex128)
+        q2_vectors = np.zeros((n, 0), dtype=np.complex128)
+        triangle_1 = Subspace.zero(n)
+        triangle_2 = Subspace.zero(n)
 
-        sizes = [c.shape[1] for c in columns]
-        residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), k, tol)
+    # Change of basis: blocks in slot order, with the triangle columns
+    # kept raw (q1 then q2) so that the third family lands exactly on
+    # the diagonal pairs of coordinates.
+    columns = [
+        pieces["common"].basis,
+        pieces["pair_23"].basis,
+        pieces["pair_13"].basis,
+        pieces["pair_12"].basis,
+        pieces["single_1"].basis,
+        pieces["single_2"].basis,
+        pieces["single_3"].basis,
+        q1_vectors,
+        q2_vectors,
+        pieces["outside"].basis,
+    ]
+    block_matrix = np.hstack(columns)
+    if block_matrix.shape[1] != n:
+        raise ConditioningError(
+            f"blocks supply {block_matrix.shape[1]} directions for ambient dimension {n}"
+        )
+    spectrum = np.linalg.svd(block_matrix, compute_uv=False)
+    if _numerical_rank(spectrum, tol) != n:
+        raise ConditioningError("block directions are numerically dependent")
+    condition = float(spectrum[0] / spectrum[-1])
+    if condition > tol.cond_warn:
+        warnings.warn(
+            f"change of basis has condition {condition:.3e}",
+            ConditioningWarning,
+            stacklevel=2,
+        )
+    change_of_basis = np.linalg.inv(block_matrix)
 
-    notes = tuple(
-        str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)
-    )
-    for w in caught:  # pass anything unrelated through
-        if not issubclass(w.category, ConditioningWarning):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    sizes = [c.shape[1] for c in columns]
+    residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), k, tol)
 
     return BrennerDecomposition(
         common=pieces["common"],
@@ -373,7 +375,7 @@ def brenner_decompose(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL
         change_of_basis=change_of_basis,
         residual=residual,
         sum_operator_sigma_min=sigma_min,
-        warnings=notes,
+        warnings=(),
     )
 
 
@@ -577,15 +579,41 @@ def is_isomorphic_three(a: SubspaceSystem, b: SubspaceSystem, tol: ToleranceConf
     return brenner_invariants(a, tol) == brenner_invariants(b, tol)
 
 
+def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: ToleranceConfig):
+    """``(invariants of a, invariants of b, witness or None)`` from one
+    skeleton per system.
+
+    The skeletons give both invariant vectors; only when they agree and
+    the ambient dimensions match are the skeletons assembled into changes
+    of basis, and the witness is a's change of basis composed with the
+    inverse of b's.  Warnings from the skeletons reach the caller; those
+    from the assembly stay with the discarded decompositions.
+    """
+    _require_arity_three(a)
+    _require_arity_three(b)
+    pieces_a = _skeleton(a, tol)
+    pieces_b = _skeleton(b, tol)
+    invariants_a, invariants_b = _invariants_of(pieces_a), _invariants_of(pieces_b)
+    if a.ambient_dim != b.ambient_dim or invariants_a != invariants_b:
+        return invariants_a, invariants_b, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        da = _assemble(a, pieces_a, tol)
+        db = _assemble(b, pieces_b, tol)
+    _conditioning_notes(caught)  # only unrelated warnings go on to the caller
+    witness = np.linalg.solve(db.change_of_basis, da.change_of_basis)
+    return invariants_a, invariants_b, witness
+
+
 def isomorphism_between(a: SubspaceSystem, b: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Explicit isomorphism from system a onto system b, or None.
 
-    When the invariants agree, both systems map onto the same coordinate
-    normal form; composing a's change of basis with the inverse of b's
-    gives the witness.
+    Each system is decomposed once.  When the invariants agree, both
+    systems map onto the same coordinate normal form; composing a's change
+    of basis with the inverse of b's gives the witness.
     """
-    if not is_isomorphic_three(a, b, tol):
+    _require_arity_three(a)
+    _require_arity_three(b)
+    if a.ambient_dim != b.ambient_dim:
         return None
-    da = brenner_decompose(a, tol)
-    db = brenner_decompose(b, tol)
-    return np.linalg.solve(db.change_of_basis, da.change_of_basis)
+    return _invariants_and_witness(a, b, tol)[2]

@@ -15,7 +15,10 @@ travel as JSON files:
 Vector entries are real numbers or [re, im] pairs.  Spanning vectors need
 not be independent or normalized; an empty list denotes the zero subspace.
 Tolerance precedence: command-line flags, then SUBSPACEKIT_* environment
-variables, then the file's "tolerances" block, then defaults.  Reports are
+variables, then the file's "tolerances" block, then defaults.  For
+isomorphic, the first file's tolerances (after flags and environment)
+govern the comparison of both systems; the second file's "tolerances"
+block is only used to read its own spanning vectors.  Reports are
 deterministic: identical inputs, flags and seeds produce byte-identical
 output (dimensions as integers, residual-like quantities as fixed-format
 scientific strings).
@@ -36,10 +39,9 @@ import numpy as np
 from .brenner import (
     SLOT_NAMES,
     InvariantVector,
+    _invariants_and_witness,
     brenner_decompose,
     brenner_invariants,
-    is_isomorphic_three,
-    isomorphism_between,
     verify_brenner,
 )
 from .catalog import compose_from_multiplicities
@@ -134,7 +136,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include block bases and the change-of-basis matrix")
 
     p = sub.add_parser("isomorphic", parents=[common],
-                       help="decide isomorphism of two three-subspace systems")
+                       help="decide isomorphism of two three-subspace systems",
+                       description="Decide isomorphism of two three-subspace systems. "
+                                   "The first file's tolerances (after flags and "
+                                   "environment) govern the comparison; the second "
+                                   "file's tolerances block is only used to read its "
+                                   "own spanning vectors.")
     p.add_argument("file_a", help="first system JSON file")
     p.add_argument("file_b", help="second system JSON file")
     p.add_argument("--emit-map", action="store_true",
@@ -365,26 +372,25 @@ def cmd_decompose(args, overrides):
 
 def cmd_isomorphic(args, overrides):
     system_a, tol = _load_system(args.file_a, overrides)
-    system_b, _ = _load_system(args.file_b, overrides)
+    system_b, _ = _load_system(args.file_b, overrides)  # compared under the first file's tolerances
     if system_a.arity != 3 or system_b.arity != 3:
         raise _InputError("isomorphic needs two systems of exactly three subspaces")
+    invariants_a, invariants_b, witness = _invariants_and_witness(system_a, system_b, tol)
     report = {
         "command": "isomorphic",
         "input_first": args.file_a,
         "input_second": args.file_b,
         "tolerances": _tol_dict(tol),
-        "invariants_first": dict(zip(SLOT_NAMES, brenner_invariants(system_a, tol).as_tuple())),
-        "invariants_second": dict(zip(SLOT_NAMES, brenner_invariants(system_b, tol).as_tuple())),
+        "invariants_first": dict(zip(SLOT_NAMES, invariants_a.as_tuple())),
+        "invariants_second": dict(zip(SLOT_NAMES, invariants_b.as_tuple())),
     }
     if system_a.ambient_dim != system_b.ambient_dim:
         report["isomorphic"] = False
         report["reason"] = "ambient dimensions differ"
         return report, 1
-    isomorphic = is_isomorphic_three(system_a, system_b, tol)
-    report["isomorphic"] = isomorphic
-    if not isomorphic:
+    report["isomorphic"] = witness is not None
+    if witness is None:
         return report, 1
-    witness = isomorphism_between(system_a, system_b, tol)
     certificate = verify_isomorphism(witness, system_a, system_b, tol)
     report["witness_max_gap"] = _sci(certificate.max_gap)
     report["witness_condition"] = _sci(certificate.condition)

@@ -11,6 +11,7 @@ from subspacekit import (
     Subspace,
     SubspaceSystem,
     atom,
+    brenner,
     brenner_decompose,
     brenner_invariants,
     compose_from_multiplicities,
@@ -233,6 +234,28 @@ class TestIsomorphism:
 
     def test_ambient_mismatch_is_not_isomorphic(self):
         assert not is_isomorphic_three(atom(9), direct_sum(atom(9), atom(1)))
+
+    @pytest.mark.parametrize("vector_b", [
+        InvariantVector(1, 1, 0, 0, 0, 2, 0, 1, 0),
+        InvariantVector(1, 1, 0, 0, 0, 1, 1, 1, 0),
+    ], ids=["isomorphic", "non-isomorphic"])
+    def test_one_skeleton_per_system(self, monkeypatch, vector_b):
+        calls = []
+        skeleton = brenner._skeleton
+        monkeypatch.setattr(brenner, "_skeleton", lambda *args: calls.append(1) or skeleton(*args))
+        a, _ = compose_from_multiplicities(InvariantVector(1, 1, 0, 0, 0, 2, 0, 1, 0), seed=6)
+        b, _ = compose_from_multiplicities(vector_b, seed=7)
+        isomorphism_between(a, b)
+        assert len(calls) == 2
+
+    def test_witness_equals_composed_changes_of_basis(self, corpus):
+        for vector, seed, cond, a in corpus[:40]:
+            b, _ = compose_from_multiplicities(vector, seed + 1, cond)
+            witness = isomorphism_between(a, b)
+            expected = np.linalg.solve(
+                brenner_decompose(b).change_of_basis, brenner_decompose(a).change_of_basis
+            )
+            assert np.array_equal(witness, expected)
 
 
 @given(seed=st.integers(0, 10**5))

@@ -1,9 +1,11 @@
 """Command-line interface tests, all in process through cli.main."""
 
 import json
+import warnings
 
 import pytest
 
+from subspacekit import ConditioningWarning, brenner
 from subspacekit.cli import main
 
 
@@ -226,6 +228,39 @@ class TestIsomorphic:
         assert code == 1
         assert report["isomorphic"] is False
         assert report["reason"] == "ambient dimensions differ"
+
+    @pytest.mark.parametrize("mult_b,expected_code", [
+        ("1,0,0,1,0,0,0,1,0", 0),
+        ("0,1,0,1,0,0,0,1,0", 1),
+    ], ids=["isomorphic", "non-isomorphic"])
+    def test_one_skeleton_per_system(self, capsys, tmp_path, monkeypatch, mult_b, expected_code):
+        a, b = self.make_pair(capsys, tmp_path, "1,0,0,1,0,0,0,1,0", mult_b)
+        calls = []
+        skeleton = brenner._skeleton
+        monkeypatch.setattr(brenner, "_skeleton", lambda *args: calls.append(1) or skeleton(*args))
+        code, _ = run_json(capsys, "isomorphic", a, b, "--emit-map")
+        assert code == expected_code
+        assert len(calls) == 2
+
+    def test_skeleton_warning_reaches_caller(self, capsys, tmp_path):
+        # Seed 34 at condition 1e9 puts a singular value of the first
+        # system's skeleton within a decade of the rank cutoff, while the
+        # comparison itself succeeds: the warning is the only flag.
+        paths = []
+        for name, seed in (("a.json", 34), ("b.json", 1034)):
+            path = tmp_path / name
+            code, _ = run_json(
+                capsys, "generate", "--mult", "1,1,1,1,1,1,1,1,1", "--seed", str(seed),
+                "--cond", "1e9", "-o", str(path),
+            )
+            assert code == 0
+            paths.append(str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run_json(capsys, "isomorphic", *paths, "--emit-map")
+        assert code == 0
+        assert report["isomorphic"] is True
+        assert any(issubclass(w.category, ConditioningWarning) for w in caught)
 
 
 def report_dim(report):
