@@ -46,7 +46,13 @@ from .linalg import (
     join,
     meet,
 )
-from .systems import SubspaceSystem, _require_arity_three, detect_double_triangle
+from .systems import (
+    IdempotentWitness,
+    SubspaceSystem,
+    _accept_idempotent,
+    _require_arity_three,
+    detect_double_triangle,
+)
 from .two_subspaces import ANGLE_EPS, polish_near_orthonormal, sum_operator_matrix
 
 __all__ = [
@@ -377,6 +383,49 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         sum_operator_sigma_min=sigma_min,
         warnings=(),
     )
+
+
+def _atom_idempotent(
+    system: SubspaceSystem, decomposition: BrennerDecomposition, tol: ToleranceConfig
+) -> IdempotentWitness:
+    """Idempotent witness splitting one block copy off a triple with more
+    than one block.
+
+    In normal-form coordinates the projector D onto the coordinates of one
+    block copy (one coordinate, or the (q1_j, q2_j) pair of a triangle)
+    maps every normal-form subspace into itself, so P = B D C with C the
+    change of basis and B its inverse is an idempotent endomorphism of the
+    system.  The copy whose projector has the smallest norm is taken, the
+    best conditioned split; it is scored by |B[:, idx]| |C[idx, :]|, which
+    for a rank-one projector is its 2-norm.  Ties go to the first copy in
+    slot order.  A projector that fails the witness tests of the
+    idempotent search raises :class:`ConditioningError`.
+    """
+    c = decomposition.change_of_basis
+    b = np.linalg.inv(c)
+    invariants = decomposition.invariants
+    # Normal-form coordinates, as _assemble lays them out: one per copy of
+    # the seven distributive kinds, then q1 and q2 of each triangle, then
+    # one per outside copy.
+    flat = sum(invariants.as_tuple()[:7])
+    k = invariants.triangle
+    copies = [(i,) for i in range(flat)]
+    copies += [(flat + j, flat + k + j) for j in range(k)]
+    copies += [(i,) for i in range(flat + 2 * k, system.ambient_dim)]
+    column_mass = (np.abs(b) ** 2).sum(axis=0)
+    row_mass = (np.abs(c) ** 2).sum(axis=1)
+
+    def squared_score(copy):
+        return column_mass[list(copy)].sum() * row_mass[list(copy)].sum()
+
+    idx = list(min(copies, key=squared_score))
+    witness = _accept_idempotent(b[:, idx] @ c[idx, :], system, tol)
+    if witness is None:
+        raise ConditioningError(
+            f"projector onto a block copy fails the idempotent witness tests "
+            f"({invariants.total_atoms} blocks)"
+        )
+    return witness
 
 
 def _family(vectors: np.ndarray, expected: int, tol: ToleranceConfig, label: str) -> Subspace:

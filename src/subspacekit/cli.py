@@ -33,21 +33,23 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .brenner import (
     SLOT_NAMES,
     InvariantVector,
+    _atom_idempotent,
     _invariants_and_witness,
     brenner_decompose,
-    brenner_invariants,
     verify_brenner,
 )
 from .catalog import compose_from_multiplicities
 from .linalg import (
     DEFAULT_TOL,
     ConditioningError,
+    ConditioningWarning,
     Subspace,
     ToleranceConfig,
     orthonormalize,
@@ -61,12 +63,13 @@ from .pentagon import (
     pentagon_split,
 )
 from .systems import (
+    _SEARCH_TRIALS,
     SubspaceSystem,
+    _search_idempotent,
     detect_double_triangle,
     detect_pentagon,
-    find_nontrivial_idempotent,
+    hom_basis,
     is_commutative,
-    is_transitive,
     verify_isomorphism,
 )
 
@@ -111,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--residual-tol", dest="residual_tol", type=float, default=None,
                         help="acceptance threshold for verification residuals")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized searches and generation (default 0)")
+                        help="seed of the idempotent search of analyze on systems of other "
+                             "than three subspaces, and of generate (default 0)")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
                      help="emit the report as JSON (default)")
@@ -312,10 +316,22 @@ def cmd_analyze(args, overrides):
         "tolerances": _tol_dict(tol),
         "seed": seed,
         "commutative": is_commutative(system, tol),
-        "transitive": is_transitive(system, tol),
         "pairwise_angles": _angles_report(system),
     }
-    witness = find_nontrivial_idempotent(system, tol, seed=seed)
+    if system.arity == 3:
+        # Every Brenner block has only scalar endomorphisms, so one block
+        # means transitive and more than one means decomposable.
+        decomposition = brenner_decompose(system, tol)
+        for note in decomposition.warnings:
+            warnings.warn(note, ConditioningWarning)
+        invariants = decomposition.invariants
+        transitive = invariants.total_atoms == 1
+        witness = None if transitive else _atom_idempotent(system, decomposition, tol)
+    else:
+        endos = hom_basis(system, system, tol)
+        transitive = endos.dim == 1
+        witness = _search_idempotent(system, endos, tol, _SEARCH_TRIALS, seed)
+    report["transitive"] = transitive
     report["decomposable"] = witness is not None
     report["split_dims"] = (
         [witness.split[0].dim, witness.split[1].dim] if witness is not None else None
@@ -323,7 +339,7 @@ def cmd_analyze(args, overrides):
     if system.arity == 3:
         report["double_triangle"] = detect_double_triangle(system, tol)
         report["pentagon"] = detect_pentagon(system, tol)
-        report["invariants"] = dict(zip(SLOT_NAMES, brenner_invariants(system, tol).as_tuple()))
+        report["invariants"] = dict(zip(SLOT_NAMES, invariants.as_tuple()))
     return report, 0
 
 

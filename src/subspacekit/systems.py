@@ -4,8 +4,10 @@ A :class:`SubspaceSystem` is an ambient dimension together with an ordered
 tuple of subspaces of that ambient space.  Morphisms between systems are
 the linear maps carrying the i-th subspace of the source into the i-th
 subspace of the target; :func:`hom_basis` computes a basis of that space by
-nullspace extraction, and everything else here (transitivity, idempotent
-search, isomorphism verification) is built on top of it.
+nullspace extraction, and transitivity and the idempotent search are built
+on top of it.  Its constraint matrix has n^2 columns, so the command line
+uses it only for systems of other than three subspaces; for three it reads
+the same facts off the Brenner decomposition.
 
 Decomposability is handled the honest way round: a system is declared
 decomposable only by exhibiting a nontrivial idempotent endomorphism, and
@@ -55,6 +57,9 @@ __all__ = [
 # Eigenvalues of a normalized random endomorphism closer than this are
 # treated as one spectral cluster during the idempotent search.
 _CLUSTER_GAP = 1e-6
+
+# Random draws before the idempotent search gives up.
+_SEARCH_TRIALS = 8
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,7 @@ def _is_endomorphism(x: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
 def find_nontrivial_idempotent(
     system: SubspaceSystem,
     tol: ToleranceConfig = DEFAULT_TOL,
-    trials: int = 8,
+    trials: int = _SEARCH_TRIALS,
     seed: int = 0,
 ) -> Optional[IdempotentWitness]:
     """Search for a nontrivial idempotent endomorphism.
@@ -312,13 +317,22 @@ def find_nontrivial_idempotent(
     evidence of indecomposability, reported as None.  Deterministic for a
     fixed ``seed``.
     """
-    endos = hom_basis(system, system, tol)
+    return _search_idempotent(system, hom_basis(system, system, tol), tol, trials, seed)
+
+
+def _search_idempotent(
+    system: SubspaceSystem,
+    endos: HomBasis,
+    tol: ToleranceConfig,
+    trials: int,
+    seed: int,
+) -> Optional[IdempotentWitness]:
+    """The random search of :func:`find_nontrivial_idempotent` over an
+    already computed basis of End(system)."""
     if endos.dim <= 1:
         return None
-    n = system.ambient_dim
     stacked = np.stack(endos.maps)
     rng = np.random.default_rng(seed)
-    identity = np.eye(n)
     for _ in range(int(trials)):
         coeff = rng.standard_normal(endos.dim) + 1j * rng.standard_normal(endos.dim)
         x = np.tensordot(coeff, stacked, axes=1)
@@ -340,24 +354,34 @@ def find_nontrivial_idempotent(
             inverse = np.linalg.inv(eigenvectors)
         except np.linalg.LinAlgError:
             continue
-        candidate = eigenvectors[:, chosen] @ inverse[chosen, :]
-        if np.linalg.norm(candidate @ candidate - candidate, 2) > tol.residual_tol:
-            continue
-        if np.linalg.norm(candidate, 2) <= tol.residual_tol:
-            continue
-        if np.linalg.norm(candidate - identity, 2) <= tol.residual_tol:
-            continue
-        if not _is_endomorphism(candidate, system, tol):
-            continue
-        image = _column_span(candidate, tol)
-        kernel_side = _column_span(identity - candidate, tol)
-        if image.shape[1] + kernel_side.shape[1] != n:
-            continue
-        return IdempotentWitness(
-            map=candidate,
-            split=(Subspace(image), Subspace(kernel_side)),
-        )
+        witness = _accept_idempotent(eigenvectors[:, chosen] @ inverse[chosen, :], system, tol)
+        if witness is not None:
+            return witness
     return None
+
+
+def _accept_idempotent(
+    candidate: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
+) -> Optional[IdempotentWitness]:
+    """The witness for a candidate map, or None unless it is idempotent,
+    neither zero nor the identity, an endomorphism of the system, and its
+    image and kernel fill the ambient space.  Every candidate, however it
+    was produced, passes through here."""
+    n = system.ambient_dim
+    identity = np.eye(n)
+    if np.linalg.norm(candidate @ candidate - candidate, 2) > tol.residual_tol:
+        return None
+    if np.linalg.norm(candidate, 2) <= tol.residual_tol:
+        return None
+    if np.linalg.norm(candidate - identity, 2) <= tol.residual_tol:
+        return None
+    if not _is_endomorphism(candidate, system, tol):
+        return None
+    image = _column_span(candidate, tol)
+    kernel_side = _column_span(identity - candidate, tol)
+    if image.shape[1] + kernel_side.shape[1] != n:
+        return None
+    return IdempotentWitness(map=candidate, split=(Subspace(image), Subspace(kernel_side)))
 
 
 def split_by_idempotent(
@@ -521,12 +545,14 @@ def detect_pentagon(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) 
     for s in (e1, e2, e3):
         if s.dim == 0 or s.dim == n:
             return False
+    # The counts decide first.  They cannot disagree with the numeric tests
+    # below: a join has at most the rank of its stacked bases, and a meet
+    # at least their nullity.
+    d1, d2, d3 = e1.dim, e2.dim, e3.dim
+    if d1 + d2 < n or d1 + d3 > n or d3 <= d2:
+        return False
     if join(e1, e2, tol).dim != n:
         return False
     if meet(e1, e3, tol).dim != 0:
         return False
-    if not contains(e3, e2, tol):
-        return False
-    if e3.dim <= e2.dim:
-        return False
-    return True
+    return contains(e3, e2, tol)

@@ -5,7 +5,19 @@ import warnings
 
 import pytest
 
-from subspacekit import ConditioningWarning, brenner
+from conftest import corpus_spec
+from subspacekit import (
+    DEFAULT_TOL,
+    ConditioningWarning,
+    InvariantVector,
+    brenner,
+    brenner_decompose,
+    brenner_invariants,
+    cli,
+    hom_basis,
+    split_by_idempotent,
+    systems,
+)
 from subspacekit.cli import main
 
 
@@ -105,6 +117,148 @@ class TestAnalyze:
         assert code == 0
         # i*e1 spans the same line as e1
         assert report["invariants"]["pair_13"] == 1
+
+
+def count_hom_basis_calls(monkeypatch):
+    """Route every call of ``systems.hom_basis``, from whichever module
+    binds it, through a counter; returns the list of calls."""
+    calls = []
+    original = systems.hom_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (systems, cli):
+        if getattr(module, "hom_basis", None) is original:
+            monkeypatch.setattr(module, "hom_basis", counted)
+    return calls
+
+
+def generate(capsys, path, vector, seed, cond):
+    mult = ",".join(str(c) for c in vector.as_tuple())
+    code, _ = run_json(
+        capsys, "generate", "--mult", mult, "--seed", str(seed), "--cond", str(cond), "-o", str(path),
+    )
+    assert code == 0
+    return str(path)
+
+
+class TestAnalyzeRoutes:
+    """A triple's endomorphism structure is read off its Brenner
+    decomposition; other arities solve for one hom basis."""
+
+    def test_triple_solves_no_hom_basis(self, capsys, monkeypatch, remark_file):
+        calls = count_hom_basis_calls(monkeypatch)
+        code, report = run_json(capsys, "analyze", remark_file)
+        assert code == 0
+        assert report["decomposable"] is True
+        assert calls == []
+
+    def test_four_subspaces_solve_one_hom_basis(self, capsys, monkeypatch, tmp_path):
+        path = write_system(
+            tmp_path / "four.json", 3, [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]], [[0, 0, 1]]]
+        )
+        calls = count_hom_basis_calls(monkeypatch)
+        code, report = run_json(capsys, "analyze", path)
+        assert code == 0
+        assert report["transitive"] is False
+        assert report["decomposable"] is True
+        assert sorted(report["split_dims"]) == [1, 2]
+        assert len(calls) == 1
+
+    def test_large_triple(self, capsys, monkeypatch, tmp_path):
+        # n = 90: the Kronecker constraint would have 8100 columns.
+        vector = InvariantVector(10, 10, 10, 10, 10, 10, 10, 5, 10)
+        assert vector.total_dim == 90
+        path = generate(capsys, tmp_path / "large.json", vector, 5, 10.0)
+        calls = count_hom_basis_calls(monkeypatch)
+        code, report = run_json(capsys, "analyze", path)
+        assert code == 0
+        assert report["invariants"] == dict(zip(brenner.SLOT_NAMES, vector.as_tuple()))
+        assert report["transitive"] is False
+        assert report["decomposable"] is True
+        assert sum(report["split_dims"]) == 90
+        assert calls == []
+
+    def test_agrees_with_kronecker_route_on_corpus(self, capsys, corpus, tmp_path):
+        problems = []
+        for i, (vector, seed, cond, system) in enumerate(corpus):
+            spans = [
+                [[[z.real, z.imag] for z in column] for column in s.basis.T]
+                for s in system.subspaces
+            ]
+            path = write_system(tmp_path / f"s{i}.json", system.ambient_dim, spans)
+            code, report = run_json(capsys, "analyze", path)
+            assert code == 0, f"system {i}"
+            decomposable = vector.total_atoms > 1
+            # is_transitive and find_nontrivial_idempotent, sharing one hom basis
+            endos = hom_basis(system, system)
+            searched = systems._search_idempotent(system, endos, DEFAULT_TOL, systems._SEARCH_TRIALS, 0)
+            kronecker = (endos.dim == 1, searched is not None)
+            if (report["transitive"], report["decomposable"]) != kronecker:
+                problems.append(f"system {i}: analyze {report['transitive'], report['decomposable']}, "
+                                f"Kronecker route {kronecker}")
+            if kronecker != (not decomposable, decomposable):
+                problems.append(f"system {i}: {vector.total_atoms} atoms, Kronecker route {kronecker}")
+            if not decomposable:
+                continue
+            witness = brenner._atom_idempotent(system, brenner_decompose(system), DEFAULT_TOL)
+            first, second = split_by_idempotent(system, witness)
+            if brenner_invariants(first) + brenner_invariants(second) != vector:
+                problems.append(f"system {i}: split parts do not add up to {vector.as_tuple()}")
+        assert problems == []
+
+    @pytest.mark.parametrize("index", [2, 50, 76, 120, 125, 135, 149, 173])
+    def test_ill_conditioned_triple_never_denies_a_split(self, capsys, tmp_path, index):
+        # These corpus entries at condition up to 1e9 were once reported
+        # with the right invariants but as neither transitive nor
+        # decomposable.  Now they split, or are refused.
+        vector, seed, cond = corpus_spec(max_cond=1e9)[index]
+        path = generate(capsys, tmp_path / "ill.json", vector, seed, cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            code, out, err = run(capsys, "analyze", path)
+        if code == 1:
+            assert "conditioning failure" in err
+            assert out == ""
+            return
+        assert code == 0
+        report = json.loads(out)
+        assert report["invariants"] == dict(zip(brenner.SLOT_NAMES, vector.as_tuple()))
+        assert report["decomposable"] is True
+        assert sum(report["split_dims"]) == vector.total_dim
+        assert 0 not in report["split_dims"]
+
+    @pytest.mark.parametrize("index", [3, 4, 25, 31, 50, 102, 125, 149])
+    def test_best_conditioned_copy_splits(self, capsys, tmp_path, index):
+        # On these corpus entries at condition up to 1e6 the projector onto
+        # the first block copy in slot order is not idempotent within
+        # residual_tol; the one of smallest norm is.
+        vector, seed, cond = corpus_spec(max_cond=1e6)[index]
+        path = generate(capsys, tmp_path / "scrambled.json", vector, seed, cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            code, out, err = run(capsys, "analyze", path)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["decomposable"] is True
+        assert sum(report["split_dims"]) == vector.total_dim
+
+    def test_skeleton_warning_reaches_caller(self, capsys, tmp_path):
+        # Seed 34 at condition 1e9 puts a singular value of the skeleton
+        # within a decade of the rank cutoff, while analyze succeeds.
+        vector = InvariantVector(1, 1, 1, 1, 1, 1, 1, 1, 1)
+        path = generate(capsys, tmp_path / "warned.json", vector, 34, 1e9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert json.loads(out)["decomposable"] is True
+        assert any(
+            issubclass(w.category, ConditioningWarning) and "rank decision is fragile" in str(w.message)
+            for w in caught
+        )
 
 
 class TestInputErrors:

@@ -12,6 +12,7 @@ from subspacekit import (
     detect_double_triangle,
     detect_pentagon,
     direct_sum,
+    example9_truncated,
     find_nontrivial_idempotent,
     gap,
     haar_unitary,
@@ -224,6 +225,16 @@ class TestPredicates:
         e2 = line(0, 0, 1)
         e3 = orthonormalize([[0, 0, 1], [1, 0, 0]])
         assert not detect_pentagon(SubspaceSystem.of(e1, e2, e3))
+
+    def test_pentagon_decided_by_dimension_counts(self, monkeypatch):
+        # dim E1 + dim E3 = 103 > 100: the meet cannot be zero, so no
+        # join or meet has to be computed.
+        system = example9_truncated(50)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        assert detect_pentagon(system) is False
+        assert calls == []
 
 
 @given(seed=st.integers(0, 10**6))
