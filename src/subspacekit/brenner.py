@@ -53,7 +53,7 @@ from .systems import (
     _require_arity_three,
     detect_double_triangle,
 )
-from .two_subspaces import ANGLE_EPS, polish_near_orthonormal, sum_operator_matrix
+from .two_subspaces import sum_operator_matrix
 
 __all__ = [
     "BrennerCheck",
@@ -364,7 +364,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
     change_of_basis = np.linalg.inv(block_matrix)
 
     sizes = [c.shape[1] for c in columns]
-    residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), k, tol)
+    residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), tol)
 
     return BrennerDecomposition(
         common=pieces["common"],
@@ -437,48 +437,32 @@ def _family(vectors: np.ndarray, expected: int, tol: ToleranceConfig, label: str
     return Subspace(span)
 
 
-def _normal_form_targets(sizes, k, n):
-    """Index sets of the three normal-form subspaces in block coordinates.
+def _normal_form_residual(block_matrix, sizes, subspaces, tol):
+    """Worst gap between a subspace carried into block coordinates and its
+    normal-form target.
 
     sizes is the 10-block column layout (7 distributive pieces, q1, q2,
-    outside); the triangle contributes indices for first/second family and
-    diagonal vectors for the third.
+    outside).  Each target is a selection of coordinate columns; the third
+    one also takes the diagonal directions (q1_j + q2_j) / sqrt(2).
     """
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = {name: range(starts[i], starts[i + 1]) for i, name in enumerate(
-        ["common", "pair_23", "pair_13", "pair_12", "single_1", "single_2", "single_3", "q1", "q2", "outside"]
-    )}
-
-    def coordinate_columns(names):
-        cols = []
-        for name in names:
-            for idx in blocks[name]:
-                e = np.zeros((n, 1), dtype=np.complex128)
-                e[idx, 0] = 1.0
-                cols.append(e)
-        return cols
-
-    f1 = coordinate_columns(["common", "pair_13", "pair_12", "single_1", "q1"])
-    f2 = coordinate_columns(["common", "pair_23", "pair_12", "single_2", "q2"])
-    f3 = coordinate_columns(["common", "pair_23", "pair_13", "single_3"])
-    q1_start, q2_start = starts[7], starts[8]
-    for j in range(k):
-        e = np.zeros((n, 1), dtype=np.complex128)
-        e[q1_start + j, 0] = 1.0 / np.sqrt(2.0)
-        e[q2_start + j, 0] = 1.0 / np.sqrt(2.0)
-        f3.append(e)
-    make = lambda cols: Subspace(np.hstack(cols)) if cols else Subspace.zero(n)
-    return make(f1), make(f2), make(f3)
-
-
-def _normal_form_residual(block_matrix, sizes, subspaces, k, tol):
     n = block_matrix.shape[0]
-    targets = _normal_form_targets(sizes, k, n)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    (common, pair_23, pair_13, pair_12, single_1, single_2, single_3, q1, q2, _) = (
+        np.arange(starts[i], starts[i + 1]) for i in range(len(sizes))
+    )
+    identity = np.eye(n, dtype=np.complex128)
+    targets = (
+        identity[:, np.concatenate([common, pair_13, pair_12, single_1, q1])],
+        identity[:, np.concatenate([common, pair_23, pair_12, single_2, q2])],
+        np.hstack([
+            identity[:, np.concatenate([common, pair_23, pair_13, single_3])],
+            (identity[:, q1] + identity[:, q2]) / np.sqrt(2.0),
+        ]),
+    )
     worst = 0.0
     for e, f in zip(subspaces, targets):
         mapped = _column_span(np.linalg.solve(block_matrix, e.basis), tol)
-        image = Subspace(mapped) if mapped.shape[1] else Subspace.zero(n)
-        worst = max(worst, gap(image, f))
+        worst = max(worst, gap(Subspace(mapped), Subspace(f)))
     return float(worst)
 
 
@@ -509,8 +493,7 @@ def verify_brenner(
     subspace_gaps = []
     for e, parts in assignments:
         stacked = np.hstack([p.basis for p in parts])
-        span = _column_span(stacked, tol)
-        image = Subspace(span) if span.shape[1] else Subspace.zero(n)
+        image = Subspace(_column_span(stacked, tol))
         subspace_gaps.append(float(gap(image, e)))
 
     q = (d.triangle_1, d.triangle_2, d.triangle_3)
@@ -566,56 +549,25 @@ def normalize_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEF
     subspaces onto K + 0, 0 + K and the diagonal copy of K, in that order
     (coordinates split as the first k against the last k).
 
-    The map is built in three stages: an invertible map fixing the first
-    subspace and moving the second onto its orthogonal complement, then
-    principal-vector coordinates between the first subspace and the moved
-    third one, then a diagonal stretch making the third family exactly
-    diagonal.
+    A double triangle is a system whose Brenner normal form has k triangle
+    blocks and nothing else, so the map is the change of basis of
+    :func:`brenner_decompose`; its conditioning notes are re-emitted as
+    :class:`ConditioningWarning`.
     """
     if not detect_double_triangle(system, tol):
         raise ValueError("not a double triangle: need pairwise trivial meets and pairwise full joins")
-    q1, q2, q3 = system.subspaces
-    n = system.ambient_dim
-    k = q1.dim
-    if not (q1.dim == q2.dim == q3.dim and n == 2 * k):
+    decomposition = brenner_decompose(system, tol)
+    for note in decomposition.warnings:
+        warnings.warn(note, ConditioningWarning)
+    k = decomposition.invariants.triangle
+    if 2 * k != system.ambient_dim:
         # forced by the meet/join conditions; a mismatch means they were
         # decided inconsistently
         raise ConditioningError(
-            f"double-triangle dimensions are inconsistent: {system.dims()} in ambient {n}"
+            f"double triangle decomposed into blocks {decomposition.invariants.as_tuple()} "
+            f"in ambient {system.ambient_dim}"
         )
-
-    u1 = q1.basis
-    mixed = np.hstack([u1, q2.basis])
-    spectrum = np.linalg.svd(mixed, compute_uv=False)
-    if _numerical_rank(spectrum, tol) != n:
-        raise ConditioningError("first and second subspaces do not span numerically")
-    flattened = np.hstack([u1, q2.basis - u1 @ (u1.conj().T @ q2.basis)])
-    # straighten: identity on q1, q2 pushed onto the complement of q1
-    straighten = flattened @ np.linalg.inv(mixed)
-
-    third = _column_span(straighten @ q3.basis, tol)
-    if third.shape[1] != k:
-        raise ConditioningError("third subspace lost dimension while straightening")
-
-    u, cosines, vh = np.linalg.svd(u1.conj().T @ third)
-    cosines = np.clip(cosines, 0.0, 1.0)
-    theta = np.arccos(cosines)
-    if theta.min() < ANGLE_EPS or theta.max() > np.pi / 2.0 - ANGLE_EPS:
-        raise ConditioningError(
-            "straightened third subspace has a degenerate angle with the first; "
-            "the triangle conditions were decided inconsistently"
-        )
-    x = u1 @ u
-    y = third @ vh.conj().T
-    s = np.sin(theta)
-    z = (y - x * cosines) / s
-    z = z - x @ (x.conj().T @ z)
-    z = polish_near_orthonormal(z)
-
-    frame = np.hstack([x, z])  # unitary: x spans q1, z spans its complement
-    stretch = np.concatenate([1.0 / cosines, 1.0 / s])
-    normal_map = (stretch[:, None] * frame.conj().T) @ straighten
-    return k, normal_map
+    return k, decomposition.change_of_basis
 
 
 def is_isomorphic_three(a: SubspaceSystem, b: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

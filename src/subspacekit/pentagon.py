@@ -148,7 +148,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
         raise ConditioningError(
             f"bridge lost dimension ({bridge_span.shape[1]} of {m}); the oblique split is unreliable"
         )
-    bridge = Subspace(bridge_span) if m else Subspace.zero(n)
+    bridge = Subspace(bridge_span)
 
     if third_outside.dim == 0:
         # Fully distributive: E3 = E2 + bridge and E1 = bridge + remainder.
@@ -251,8 +251,8 @@ def diagonal_graph_pair(n: int):
         raise ValueError("need at least one coordinate")
     weights = 1.0 / np.arange(1, n + 1)
     flat = Subspace(np.vstack([np.eye(n), np.zeros((n, n))]))
-    graph_rows = [np.concatenate([row, weights[i] * row]) for i, row in enumerate(np.eye(n))]
-    graph = orthonormalize(graph_rows)
+    # the columns (e_i, a_i e_i) / sqrt(1 + a_i^2) are already orthonormal
+    graph = Subspace(np.vstack([np.eye(n), np.diag(weights)]) / np.sqrt(1.0 + weights**2))
     return flat, graph
 
 

@@ -201,10 +201,7 @@ def restrict_system(system: SubspaceSystem, carrier: Subspace, tol: ToleranceCon
     for s in system.subspaces:
         if not contains(carrier, s, tol):
             raise ValueError("carrier does not contain every subspace of the system")
-        coords = carrier.basis.conj().T @ s.basis
-        if coords.shape[1]:
-            coords, _ = np.linalg.qr(coords)
-        pieces.append(Subspace(coords) if coords.shape[1] else Subspace.zero(carrier.dim))
+        pieces.append(_in_carrier_coords(s.basis, carrier))
     return SubspaceSystem(carrier.dim, tuple(pieces), system.labels)
 
 
@@ -479,7 +476,7 @@ def verify_isomorphism(
     gaps = []
     for e, f in zip(source.subspaces, target.subspaces):
         image = _column_span(matrix @ e.basis, tol)
-        gaps.append(gap(Subspace(image) if image.shape[1] else Subspace.zero(n), f))
+        gaps.append(gap(Subspace(image), f))
     gaps = tuple(float(g) for g in gaps)
     passed = invertible and (max(gaps) <= tol.residual_tol if gaps else True)
     return IsomorphismReport(gaps, sigma_min, sigma_max, passed)
@@ -545,14 +542,6 @@ def detect_pentagon(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) 
     for s in (e1, e2, e3):
         if s.dim == 0 or s.dim == n:
             return False
-    # The counts decide first.  They cannot disagree with the numeric tests
-    # below: a join has at most the rank of its stacked bases, and a meet
-    # at least their nullity.
+    # d1 + d2 >= n and d1 + d3 <= n force d3 <= d2: the counts alone decide.
     d1, d2, d3 = e1.dim, e2.dim, e3.dim
-    if d1 + d2 < n or d1 + d3 > n or d3 <= d2:
-        return False
-    if join(e1, e2, tol).dim != n:
-        return False
-    if meet(e1, e3, tol).dim != 0:
-        return False
-    return contains(e3, e2, tol)
+    return d1 + d2 >= n and d1 + d3 <= n and d3 > d2

@@ -30,7 +30,6 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
-    _column_span,
     _require_same_ambient,
     complement,
     complement_within,
@@ -197,7 +196,7 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
     frame = np.hstack([x_gen, z])
     return TwoSubspaceDecomposition(
         in_both, only_first, only_second, in_neither,
-        Subspace(x_gen) if x_gen.shape[1] else Subspace.zero(n),
+        Subspace(x_gen),
         theta,
         frame,
     )

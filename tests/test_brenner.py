@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from subspacekit import (
+    ConditioningWarning,
     InvariantVector,
     SLOT_ATOMS,
     SLOT_NAMES,
@@ -191,7 +193,7 @@ class TestNormalizeDoubleTriangle:
         assert same_subspace(mapped.subspaces[1], line(0, 1))
         assert same_subspace(mapped.subspaces[2], line(1, 1))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_scrambled_multiples(self, m):
         v = InvariantVector(0, 0, 0, 0, 0, 0, 0, m, 0)
         system, _ = compose_from_multiplicities(v, seed=40 + m, cond_bound=8.0)
@@ -205,6 +207,19 @@ class TestNormalizeDoubleTriangle:
         assert gap(mapped.subspaces[0], top) < 1e-8
         assert gap(mapped.subspaces[1], bottom) < 1e-8
         assert gap(mapped.subspaces[2], diag) < 1e-8
+
+    def test_reemits_decomposition_warnings(self):
+        # an ill-conditioned scramble whose decomposition carries notes:
+        # each must reach the caller as a ConditioningWarning
+        v = InvariantVector(0, 0, 0, 0, 0, 0, 0, 2, 0)
+        system, _ = compose_from_multiplicities(v, seed=0, cond_bound=1e9)
+        notes = brenner_decompose(system).warnings
+        assert notes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            normalize_double_triangle(system)
+        emitted = {str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)}
+        assert set(notes) <= emitted
 
     def test_rejects_non_triangle(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,9 @@ class TestClosednessMargin:
     @pytest.mark.parametrize("n", [1, 5, 50, 1000])
     def test_diagonal_graph_margin_formula(self, n):
         flat, graph = diagonal_graph_pair(n)
+        weights = 1.0 / np.arange(1, n + 1)
+        graph_rows = [np.concatenate([row, weights[i] * row]) for i, row in enumerate(np.eye(n))]
+        assert same_subspace(graph, orthonormalize(graph_rows))
         margin = closedness_margin(flat, graph)
         assert margin.truncation_dim == 2 * n
         assert abs(margin.min_positive_angle - np.arctan(1.0 / n)) < 1e-9
