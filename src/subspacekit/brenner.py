@@ -51,7 +51,6 @@ from .systems import (
     SubspaceSystem,
     _accept_idempotent,
     _require_arity_three,
-    detect_double_triangle,
 )
 from .two_subspaces import sum_operator_matrix
 
@@ -79,6 +78,9 @@ SLOT_NAMES = (
     "triangle",
     "outside",
 )
+
+# Names of the eleven block subspaces, in BrennerDecomposition field order.
+BLOCK_NAMES = SLOT_NAMES[:7] + ("triangle_1", "triangle_2", "triangle_3", "outside")
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,9 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     """All intersection-determined pieces of the decomposition.
 
     Returns a dict with the seven distributive pieces, the third triangle
-    family, the outside part, and the intermediate meets needed for the
-    consistency checks.
+    family and the outside part.  The dimensions it decides must obey the
+    modular law, which it checks at no factorization cost; a violation is
+    an unstable rank decision and raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
     meet_12 = meet(e1, e2, tol)
@@ -202,9 +205,9 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     meet_23 = meet(e2, e3, tol)
     common = meet(meet_12, e3, tol)
 
-    pair_23 = complement_within(meet_23, common, tol)
-    pair_13 = complement_within(meet_13, common, tol)
-    pair_12 = complement_within(meet_12, common, tol)
+    pair_23 = _complement_in(meet_23, common, tol)
+    pair_13 = _complement_in(meet_13, common, tol)
+    pair_12 = _complement_in(meet_12, common, tol)
 
     join_12 = join(e1, e2, tol)
     join_13 = join(e1, e3, tol)
@@ -214,28 +217,35 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     inside_2 = meet(e2, join_13, tol)
     inside_3 = meet(e3, join_12, tol)
 
-    single_1 = complement_within(e1, inside_1, tol)
-    single_2 = complement_within(e2, inside_2, tol)
-    single_3 = complement_within(e3, inside_3, tol)
+    single_1 = _complement_in(e1, inside_1, tol)
+    single_2 = _complement_in(e2, inside_2, tol)
+    single_3 = _complement_in(e3, inside_3, tol)
 
     # The triangle part of E3: what is inside E1 + E2 beyond the parts E3
     # shares with E1 and with E2 individually.
     shared_3 = join(meet_13, meet_23, tol)
-    triangle_3 = complement_within(inside_3, shared_3, tol)
+    triangle_3 = _complement_in(inside_3, shared_3, tol)
 
-    outside = complement(join(join_12, e3, tol))
+    total = join(join_12, e3, tol)
+    outside = complement(total)
 
-    # Dimension form of the triangle identities: the excess of E_i inside
-    # the span of the others over the pairwise-shared parts is the same k
-    # for all three.  Mismatch means an unstable rank decision upstream.
+    # Modular law: dim E_i ∩ (E_j + E_k) = d_i + dim(E_j + E_k) - dim(E1 + E2 + E3),
+    # of which k lie beyond meet_ij + meet_ik (for E3, k is read that way).
     k = triangle_3.dim
-    excess_1 = inside_1.dim - join(meet_12, meet_13, tol).dim
-    excess_2 = inside_2.dim - join(meet_12, meet_23, tol).dim
+    excess_1 = inside_1.dim - meet_12.dim - meet_13.dim + common.dim
+    excess_2 = inside_2.dim - meet_12.dim - meet_23.dim + common.dim
     if excess_1 != k or excess_2 != k:
         raise ConditioningError(
             f"triangle multiplicities disagree across the three subspaces "
             f"({excess_1}, {excess_2}, {k}); rank decisions were inconsistent"
         )
+    for i, others, inside in ((0, join_23, inside_1), (1, join_13, inside_2), (2, join_12, inside_3)):
+        expected = system.subspaces[i].dim + others.dim - total.dim
+        if inside.dim != expected:
+            raise ConditioningError(
+                f"E{i + 1} meets the other two in {inside.dim} dimensions, the modular "
+                f"law demands {expected}; rank decisions were inconsistent"
+            )
 
     return {
         "common": common,
@@ -248,6 +258,21 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "triangle_3": triangle_3,
         "outside": outside,
     }
+
+
+def _complement_in(whole: Subspace, part: Subspace, tol: ToleranceConfig) -> Subspace:
+    """complement_within for a containment that holds by construction, so
+    that its numerical failure is a conditioning failure, not bad input."""
+    try:
+        return complement_within(whole, part, tol)
+    except ValueError as exc:
+        raise ConditioningError(f"a containment that holds by construction failed: {exc}") from exc
+
+
+def _is_double_triangle(invariants: InvariantVector) -> bool:
+    """Every block a triangle: on a checked skeleton, the verdict of
+    ``detect_double_triangle`` (zero pairwise meets, full pairwise joins)."""
+    return 0 < invariants.triangle == invariants.total_atoms
 
 
 def _invariants_of(pieces) -> InvariantVector:
@@ -334,18 +359,8 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
     # Change of basis: blocks in slot order, with the triangle columns
     # kept raw (q1 then q2) so that the third family lands exactly on
     # the diagonal pairs of coordinates.
-    columns = [
-        pieces["common"].basis,
-        pieces["pair_23"].basis,
-        pieces["pair_13"].basis,
-        pieces["pair_12"].basis,
-        pieces["single_1"].basis,
-        pieces["single_2"].basis,
-        pieces["single_3"].basis,
-        q1_vectors,
-        q2_vectors,
-        pieces["outside"].basis,
-    ]
+    columns = [pieces[name].basis for name in BLOCK_NAMES[:7]]
+    columns += [q1_vectors, q2_vectors, pieces["outside"].basis]
     block_matrix = np.hstack(columns)
     if block_matrix.shape[1] != n:
         raise ConditioningError(
@@ -367,17 +382,9 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
     residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), tol)
 
     return BrennerDecomposition(
-        common=pieces["common"],
-        pair_23=pieces["pair_23"],
-        pair_13=pieces["pair_13"],
-        pair_12=pieces["pair_12"],
-        single_1=pieces["single_1"],
-        single_2=pieces["single_2"],
-        single_3=pieces["single_3"],
+        **pieces,
         triangle_1=triangle_1,
         triangle_2=triangle_2,
-        triangle_3=triangle_3,
-        outside=pieces["outside"],
         change_of_basis=change_of_basis,
         residual=residual,
         sum_operator_sigma_min=sigma_min,
@@ -507,11 +514,8 @@ def verify_brenner(
     )
     joins_sized = all(j.dim == 2 * q[2].dim for j in joins)
 
-    all_blocks = [
-        d.common, d.pair_23, d.pair_13, d.pair_12,
-        d.single_1, d.single_2, d.single_3,
-        d.triangle_1, d.triangle_2, d.outside,
-    ]
+    # the third triangle family lies in the span of the other two
+    all_blocks = [getattr(d, name) for name in BLOCK_NAMES if name != "triangle_3"]
     stacked = np.hstack([b.basis for b in all_blocks])
     total = stacked.shape[1]
     if total == 0:
@@ -550,24 +554,18 @@ def normalize_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEF
     (coordinates split as the first k against the last k).
 
     A double triangle is a system whose Brenner normal form has k triangle
-    blocks and nothing else, so the map is the change of basis of
+    blocks and nothing else, so the system is decomposed first (failure
+    raises :class:`ConditioningError`), any other block raises
+    ``ValueError``, and the map is the change of basis of
     :func:`brenner_decompose`; its conditioning notes are re-emitted as
     :class:`ConditioningWarning`.
     """
-    if not detect_double_triangle(system, tol):
-        raise ValueError("not a double triangle: need pairwise trivial meets and pairwise full joins")
     decomposition = brenner_decompose(system, tol)
+    if not _is_double_triangle(decomposition.invariants):
+        raise ValueError("not a double triangle: need pairwise trivial meets and pairwise full joins")
     for note in decomposition.warnings:
         warnings.warn(note, ConditioningWarning)
-    k = decomposition.invariants.triangle
-    if 2 * k != system.ambient_dim:
-        # forced by the meet/join conditions; a mismatch means they were
-        # decided inconsistently
-        raise ConditioningError(
-            f"double triangle decomposed into blocks {decomposition.invariants.as_tuple()} "
-            f"in ambient {system.ambient_dim}"
-        )
-    return k, decomposition.change_of_basis
+    return decomposition.invariants.triangle, decomposition.change_of_basis
 
 
 def is_isomorphic_three(a: SubspaceSystem, b: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -38,10 +38,12 @@ import warnings
 import numpy as np
 
 from .brenner import (
+    BLOCK_NAMES,
     SLOT_NAMES,
     InvariantVector,
     _atom_idempotent,
     _invariants_and_witness,
+    _is_double_triangle,
     brenner_decompose,
     verify_brenner,
 )
@@ -66,7 +68,6 @@ from .systems import (
     _SEARCH_TRIALS,
     SubspaceSystem,
     _search_idempotent,
-    detect_double_triangle,
     detect_pentagon,
     hom_basis,
     is_commutative,
@@ -86,19 +87,10 @@ def _sci(value) -> str:
 
 
 def _matrix_entries(matrix: np.ndarray):
-    """Matrix as rows of [re, im] pairs (full precision)."""
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in np.asarray(matrix, dtype=np.complex128)
-    ]
-
-
-def _vector_list(basis: np.ndarray):
-    """Basis columns as a list of vectors of [re, im] pairs."""
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in basis[:, j]]
-        for j in range(basis.shape[1])
-    ]
+    """Matrix as rows of [re, im] pairs (full precision); pass the
+    transpose of a basis to list its vectors."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def _tol_dict(tol: ToleranceConfig):
@@ -166,6 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example9", type=int, default=None, metavar="N",
                    help="instead of a file: margins of the truncated classical example up to N")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _gather_overrides(args) -> dict:
@@ -337,7 +332,7 @@ def cmd_analyze(args, overrides):
         [witness.split[0].dim, witness.split[1].dim] if witness is not None else None
     )
     if system.arity == 3:
-        report["double_triangle"] = detect_double_triangle(system, tol)
+        report["double_triangle"] = _is_double_triangle(invariants)
         report["pentagon"] = detect_pentagon(system, tol)
         report["invariants"] = dict(zip(SLOT_NAMES, invariants.as_tuple()))
     return report, 0
@@ -368,20 +363,7 @@ def cmd_decompose(args, overrides):
         "warnings": list(decomposition.warnings),
     }
     if args.emit_basis:
-        blocks = {
-            "common": decomposition.common,
-            "pair_23": decomposition.pair_23,
-            "pair_13": decomposition.pair_13,
-            "pair_12": decomposition.pair_12,
-            "single_1": decomposition.single_1,
-            "single_2": decomposition.single_2,
-            "single_3": decomposition.single_3,
-            "triangle_1": decomposition.triangle_1,
-            "triangle_2": decomposition.triangle_2,
-            "triangle_3": decomposition.triangle_3,
-            "outside": decomposition.outside,
-        }
-        report["blocks"] = {name: _vector_list(sub.basis) for name, sub in blocks.items()}
+        report["blocks"] = {n: _matrix_entries(getattr(decomposition, n).basis.T) for n in BLOCK_NAMES}
         report["change_of_basis"] = _matrix_entries(decomposition.change_of_basis)
     return report, 0 if ok else 1
 
@@ -445,7 +427,7 @@ def cmd_generate(args, overrides):
     payload = {
         "ambient_dim": system.ambient_dim,
         "subspaces": [
-            {"name": f"E{i + 1}", "spanning_vectors": _vector_list(s.basis)}
+            {"name": f"E{i + 1}", "spanning_vectors": _matrix_entries(s.basis.T)}
             for i, s in enumerate(system.subspaces)
         ],
     }
@@ -577,9 +559,8 @@ def _emit(report: dict, fmt: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     fmt = "json"
@@ -587,13 +568,7 @@ def main(argv=None) -> int:
         overrides = _gather_overrides(args)
         fmt = overrides["fmt"]
         report, code = _HANDLERS[args.command](args, overrides)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (_InputError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ConditioningError as exc:

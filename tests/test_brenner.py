@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import corpus_spec
 from subspacekit import (
+    ConditioningError,
     ConditioningWarning,
     InvariantVector,
     SLOT_ATOMS,
@@ -28,6 +30,7 @@ from subspacekit import (
     remark_example,
     restrict_system,
     same_subspace,
+    systems,
     verify_brenner,
     verify_isomorphism,
 )
@@ -175,6 +178,70 @@ class TestDecompose:
         assert not check.passed
 
 
+ALL_SLOTS = InvariantVector(1, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
+def drop_last_direction(subspace):
+    return Subspace(subspace.basis[:, :-1])
+
+
+class TestSkeletonChecks:
+    """The skeleton cross-checks its rank decisions by the modular law on
+    dimensions it has already decided, at no extra factorization."""
+
+    def test_five_joins_per_skeleton(self, monkeypatch):
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        calls = []
+        join = brenner.join
+        monkeypatch.setattr(brenner, "join", lambda *args: calls.append(1) or join(*args))
+        assert brenner_invariants(system) == ALL_SLOTS
+        assert len(calls) == 5
+
+    def test_lost_direction_of_first_inside_part(self, monkeypatch):
+        # E1 ∩ (E2 + E3) comes out one dimension short
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        e1 = system.subspaces[0]
+        meet = brenner.meet
+
+        def lossy(a, b, tol):
+            result = meet(a, b, tol)
+            if a is e1 and all(b is not e for e in system.subspaces):
+                return drop_last_direction(result)
+            return result
+
+        monkeypatch.setattr(brenner, "meet", lossy)
+        with pytest.raises(ConditioningError):
+            brenner_invariants(system)
+
+    def test_lost_direction_of_total_sum(self, monkeypatch):
+        # E1 + E2 + E3 comes out one dimension short; unchecked, the
+        # outside part would silently gain a dimension
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        e3 = system.subspaces[2]
+        join = brenner.join
+
+        def lossy(a, b, tol):
+            result = join(a, b, tol)
+            if b is e3 and all(a is not e for e in system.subspaces):
+                return drop_last_direction(result)
+            return result
+
+        monkeypatch.setattr(brenner, "join", lossy)
+        with pytest.raises(ConditioningError, match="modular law"):
+            brenner_invariants(system)
+
+    @pytest.mark.parametrize("index", [86, 192])
+    def test_failed_containment_is_a_conditioning_failure(self, index):
+        # a containment that holds by construction fails numerically at
+        # scramble condition near 1e10; that is no malformed input
+        vector, seed, cond = corpus_spec(max_cond=1e10)[index]
+        system, _ = compose_from_multiplicities(vector, seed, cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            with pytest.raises(ConditioningError, match="holds by construction"):
+                brenner_decompose(system)
+
+
 class TestNormalizeDoubleTriangle:
     def test_remark_carrier(self):
         # restrict the remark example's triangle families to their span
@@ -226,6 +293,22 @@ class TestNormalizeDoubleTriangle:
             normalize_double_triangle(
                 SubspaceSystem.of(line(1, 0), line(0, 1), line(0, 1))
             )
+
+    def test_decides_without_the_detector(self, monkeypatch):
+        calls = []
+        original = systems.detect_double_triangle
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (systems, brenner):
+            if getattr(module, "detect_double_triangle", None) is original:
+                monkeypatch.setattr(module, "detect_double_triangle", counted)
+        v = InvariantVector(0, 0, 0, 0, 0, 0, 0, 2, 0)
+        system, _ = compose_from_multiplicities(v, seed=42, cond_bound=8.0)
+        assert normalize_double_triangle(system)[0] == 2
+        assert calls == []
 
 
 class TestIsomorphism:

@@ -3,7 +3,10 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
+
+import subspacekit
 
 from conftest import corpus_spec
 from subspacekit import (
@@ -14,6 +17,7 @@ from subspacekit import (
     brenner_decompose,
     brenner_invariants,
     cli,
+    detect_double_triangle,
     hom_basis,
     split_by_idempotent,
     systems,
@@ -135,6 +139,23 @@ def count_hom_basis_calls(monkeypatch):
     return calls
 
 
+def count_detector_calls(monkeypatch):
+    """Route every call of ``systems.detect_double_triangle``, from
+    whichever module binds it, through a counter; returns the list of
+    calls."""
+    calls = []
+    original = systems.detect_double_triangle
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (subspacekit, systems, brenner, cli):
+        if getattr(module, "detect_double_triangle", None) is original:
+            monkeypatch.setattr(module, "detect_double_triangle", counted)
+    return calls
+
+
 def generate(capsys, path, vector, seed, cond):
     mult = ",".join(str(c) for c in vector.as_tuple())
     code, _ = run_json(
@@ -201,6 +222,8 @@ class TestAnalyzeRoutes:
                                 f"Kronecker route {kronecker}")
             if kronecker != (not decomposable, decomposable):
                 problems.append(f"system {i}: {vector.total_atoms} atoms, Kronecker route {kronecker}")
+            if report["double_triangle"] != detect_double_triangle(system):
+                problems.append(f"system {i}: double_triangle {report['double_triangle']}")
             if not decomposable:
                 continue
             witness = brenner._atom_idempotent(system, brenner_decompose(system), DEFAULT_TOL)
@@ -244,6 +267,41 @@ class TestAnalyzeRoutes:
         report = json.loads(out)
         assert report["decomposable"] is True
         assert sum(report["split_dims"]) == vector.total_dim
+
+    def test_double_triangle_read_off_the_decomposition(self, capsys, monkeypatch, remark_file, tmp_path):
+        triangles = InvariantVector(0, 0, 0, 0, 0, 0, 0, 2, 0)
+        path = generate(capsys, tmp_path / "triangles.json", triangles, 3, 8.0)
+        calls = count_detector_calls(monkeypatch)
+        for file, expected in ((remark_file, False), (path, True)):
+            code, report = run_json(capsys, "analyze", file)
+            assert code == 0
+            assert report["double_triangle"] is expected
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("extra", [None, 4, 8], ids=["alone", "single_1", "outside"])
+    def test_double_triangle_agrees_with_detector(self, capsys, tmp_path, k, extra):
+        # scrambled multiples of the triangle, alone or beside one more
+        # block, from unitary to condition 1e9; refusals are allowed
+        counts = [0] * 9
+        counts[7] = k
+        if extra is not None:
+            counts[extra] = 1
+        vector = InvariantVector.from_iterable(counts)
+        for seed, cond in ((10 + k, 1.0), (20 + k, 1e3), (30 + k, 1e6), (40 + k, 1e9)):
+            path = generate(capsys, tmp_path / f"t{seed}.json", vector, seed, cond)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                code, out, err = run(capsys, "analyze", path)
+                system, tol = cli._load_system(path, {})
+                detected = detect_double_triangle(system, tol)
+            if code == 1:
+                assert err.startswith("conditioning failure")
+                continue
+            assert code == 0
+            assert json.loads(out)["double_triangle"] is detected
+            if cond < 1e9:
+                assert detected is (extra is None)
 
     def test_skeleton_warning_reaches_caller(self, capsys, tmp_path):
         # Seed 34 at condition 1e9 puts a singular value of the skeleton
@@ -337,6 +395,30 @@ class TestDecompose:
         _, first, _ = run(capsys, "decompose", remark_file, "--emit-basis")
         _, second, _ = run(capsys, "decompose", remark_file, "--emit-basis")
         assert first == second
+
+    def test_matrix_entries_match_entrywise_reference(self):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+        matrix[0, 0] = complex(-0.0, 0.0)
+        matrix[1, 2] = complex(3.0, -0.0)
+        rows = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        vectors = [[[float(z.real), float(z.imag)] for z in matrix[:, j]] for j in range(4)]
+        assert json.dumps(cli._matrix_entries(matrix)) == json.dumps(rows)
+        assert json.dumps(cli._matrix_entries(matrix.T)) == json.dumps(vectors)
+        assert json.dumps(cli._matrix_entries(np.zeros((3, 0)).T)) == "[]"
+
+    @pytest.mark.parametrize("command", ["decompose", "analyze"])
+    def test_failed_containment_is_a_conditioning_failure(self, capsys, tmp_path, command):
+        # entry 330 of corpus_spec(count=400, max_cond=1e9): a containment
+        # that holds by construction fails numerically in the skeleton
+        vector = InvariantVector(1, 0, 0, 1, 1, 1, 0, 3, 1)
+        path = generate(capsys, tmp_path / "f.json", vector, 1769612510, 922864058.6694026)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            code, out, err = run(capsys, command, path)
+        assert code == 1
+        assert err.startswith("conditioning failure")
+        assert out == ""
 
 
 class TestIsomorphic:
@@ -524,6 +606,14 @@ class TestPentagonCommand:
         assert code == 2
         code, out, err = run(capsys, "pentagon")
         assert code == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch, remark_file):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt per call"))
+    code, report = run_json(capsys, "analyze", remark_file)
+    assert code == 0
+    code, _, _ = run(capsys, "analyze", remark_file, "--text")
+    assert code == 0
 
 
 class TestToleranceHandling:
