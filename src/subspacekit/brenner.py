@@ -39,7 +39,6 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     _column_span,
-    _numerical_rank,
     complement,
     complement_within,
     gap,
@@ -51,8 +50,9 @@ from .systems import (
     SubspaceSystem,
     _accept_idempotent,
     _require_arity_three,
+    _stacked_rank,
 )
-from .two_subspaces import sum_operator_matrix
+from .two_subspaces import _oblique_split, _part_span
 
 __all__ = [
     "BrennerCheck",
@@ -333,7 +333,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
 
     sigma_min = None
     if k:
-        frame, t_matrix = sum_operator_matrix(e1, e2, tol)
+        q1_vectors, q2_vectors, t_matrix = _oblique_split(e1, e2, triangle_3.basis, tol)
         spectrum = np.linalg.svd(t_matrix, compute_uv=False)
         sigma_min = float(spectrum[-1])
         if spectrum[0] / sigma_min > tol.cond_warn:
@@ -342,33 +342,28 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
                 ConditioningWarning,
                 stacklevel=2,
             )
-        # Oblique split q = q1 + q2 with q1 in E1, q2 in E2, through
-        # the inverse of the restricted sum operator.
-        coeff = np.linalg.solve(t_matrix, frame.conj().T @ triangle_3.basis)
-        lifted = frame @ coeff
-        q1_vectors = e1.basis @ (e1.basis.conj().T @ lifted)
-        q2_vectors = triangle_3.basis - q1_vectors
-        triangle_1 = _family(q1_vectors, k, tol, "first triangle family")
-        triangle_2 = _family(q2_vectors, k, tol, "second triangle family")
-    else:
-        q1_vectors = np.zeros((n, 0), dtype=np.complex128)
-        q2_vectors = np.zeros((n, 0), dtype=np.complex128)
-        triangle_1 = Subspace.zero(n)
-        triangle_2 = Subspace.zero(n)
+        triangle_1 = _part_span(q1_vectors, tol, "first triangle family")
+        triangle_2 = _part_span(q2_vectors, tol, "second triangle family")
+    else:  # no triangle part: every triangle piece is zero
+        q1_vectors = q2_vectors = triangle_3.basis
+        triangle_1 = triangle_2 = triangle_3
+
+    # Independence is decided on the orthonormal block bases; the raw
+    # triangle columns span the same two blocks in another basis.
+    blocks = [pieces[name] for name in BLOCK_NAMES[:7]]
+    blocks += [triangle_1, triangle_2, pieces["outside"]]
+    supplied = sum(b.dim for b in blocks)
+    if supplied != n:
+        raise ConditioningError(f"blocks supply {supplied} directions for ambient dimension {n}")
+    if _stacked_rank(blocks, tol) != n:
+        raise ConditioningError("block directions are numerically dependent")
 
     # Change of basis: blocks in slot order, with the triangle columns
     # kept raw (q1 then q2) so that the third family lands exactly on
     # the diagonal pairs of coordinates.
-    columns = [pieces[name].basis for name in BLOCK_NAMES[:7]]
-    columns += [q1_vectors, q2_vectors, pieces["outside"].basis]
+    columns = [b.basis for b in blocks[:7]] + [q1_vectors, q2_vectors, pieces["outside"].basis]
     block_matrix = np.hstack(columns)
-    if block_matrix.shape[1] != n:
-        raise ConditioningError(
-            f"blocks supply {block_matrix.shape[1]} directions for ambient dimension {n}"
-        )
     spectrum = np.linalg.svd(block_matrix, compute_uv=False)
-    if _numerical_rank(spectrum, tol) != n:
-        raise ConditioningError("block directions are numerically dependent")
     condition = float(spectrum[0] / spectrum[-1])
     if condition > tol.cond_warn:
         warnings.warn(
@@ -433,15 +428,6 @@ def _atom_idempotent(
             f"({invariants.total_atoms} blocks)"
         )
     return witness
-
-
-def _family(vectors: np.ndarray, expected: int, tol: ToleranceConfig, label: str) -> Subspace:
-    span = _column_span(vectors, tol)
-    if span.shape[1] != expected:
-        raise ConditioningError(
-            f"{label} came out {span.shape[1]}-dimensional, expected {expected}"
-        )
-    return Subspace(span)
 
 
 def _normal_form_residual(block_matrix, sizes, subspaces, tol):
@@ -516,12 +502,8 @@ def verify_brenner(
 
     # the third triangle family lies in the span of the other two
     all_blocks = [getattr(d, name) for name in BLOCK_NAMES if name != "triangle_3"]
-    stacked = np.hstack([b.basis for b in all_blocks])
-    total = stacked.shape[1]
-    if total == 0:
-        rank = 0
-    else:
-        rank = _numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
+    total = sum(b.dim for b in all_blocks)
+    rank = _stacked_rank(all_blocks, tol)
     independent = rank == total
     deficit = n - rank
 

@@ -5,14 +5,14 @@ columns; the zero subspace is the (n, 0) matrix and is a first-class value.
 Projections are derived on demand and never stored.
 
 Every rank decision in the package goes through one rule (count singular
-values above ``rank_rtol`` times a reference scale), and meet/join of the
-same pair are read off the same singular spectrum.  That is what makes the
-dimension identity
+values above ``rank_rtol`` times a reference scale).  Meet and join factor
+different matrices, so the dimension identity
 
     dim meet(A, B) + dim join(A, B) == dim A + dim B
 
-hold exactly rather than merely approximately: the two operations can never
-disagree about a borderline singular value.
+holds in exact arithmetic only; the Brenner skeleton's modular-law check
+catches a rounding disagreement at the cutoff.  Relative complements
+decide no dimension: they take the count the lattice already decided.
 """
 
 from __future__ import annotations
@@ -99,15 +99,20 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
     if reference <= 0.0:
         return 0
     cutoff = tol.rank_rtol * reference
+    _warn_near_cutoff(s, cutoff, stacklevel=4)
+    return int(np.count_nonzero(s > cutoff))
+
+
+def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int):
+    """:class:`ConditioningWarning` for singular values within a decade of ``cutoff``."""
     near = int(np.count_nonzero((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     if near:
         warnings.warn(
             f"{near} singular value(s) within a decade of the rank cutoff {cutoff:.3e}; "
             "rank decision is fragile",
             ConditioningWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return int(np.count_nonzero(s > cutoff))
 
 
 def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.ndarray:
@@ -228,10 +233,9 @@ def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspa
     """Intersection of two subspaces.
 
     Computed from the nullspace of [B_a | -B_b]: a null vector is a pair of
-    coefficient blocks expressing one ambient vector in both bases.  This
-    matrix has the same singular values as the concatenation behind
-    :func:`join`, so the meet/join dimension identity is exact by
-    construction.
+    coefficient blocks expressing one ambient vector in both bases.  In
+    exact arithmetic its singular values are those of the concatenation
+    behind :func:`join`; see the module docstring for rounding.
     """
     _require_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
@@ -271,9 +275,9 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
     """Orthogonal complement of ``part`` inside ``whole``.
 
     ``part`` must be contained in ``whole``.  The projected basis
-    (I - P_part) B_whole then has singular values that are exactly 0 or 1,
-    so the rank rule runs against the absolute scale 1; a dimension-count
-    mismatch raises :class:`ConditioningError`.
+    (I - P_part) B_whole then has ``whole.dim - part.dim`` singular values 1,
+    the rest 0: their left singular vectors span the complement, and a split
+    not clean at 0.5 raises :class:`ConditioningError`.
     """
     _require_same_ambient(whole, part)
     if not contains(whole, part, tol):
@@ -281,14 +285,16 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
     if part.dim == 0:
         return whole
     residual = whole.basis - part.basis @ (part.basis.conj().T @ whole.basis)
-    span = _column_span(residual, tol, scale=1.0)
+    u, s, _ = np.linalg.svd(np.ascontiguousarray(residual), full_matrices=False)
+    _warn_near_cutoff(s, tol.rank_rtol, stacklevel=2)
     expected = whole.dim - part.dim
-    if span.shape[1] != expected:
+    kept, dropped = s[:expected].min(initial=1.0), s[expected:].max(initial=0.0)
+    if kept < 0.5 or dropped >= 0.5:
         raise ConditioningError(
-            f"relative complement came out {span.shape[1]}-dimensional, "
-            f"dimension count demands {expected}"
+            f"relative complement of dimension {expected} does not split cleanly at 0.5 "
+            f"(singular values kept down to {kept:.3e}, dropped up to {dropped:.3e})"
         )
-    return Subspace(span)
+    return Subspace(u[:, :expected])
 
 
 def gap(a: Subspace, b: Subspace) -> float:

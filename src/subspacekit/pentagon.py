@@ -35,8 +35,6 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
-    _column_span,
-    _numerical_rank,
     complement_within,
     contains,
     join,
@@ -44,8 +42,8 @@ from .linalg import (
     orthonormalize,
     principal_angles,
 )
-from .systems import SubspaceSystem, _require_arity_three, restrict_system
-from .two_subspaces import ANGLE_EPS, sum_operator_matrix
+from .systems import SubspaceSystem, _require_arity_three, _stacked_rank, restrict_system
+from .two_subspaces import ANGLE_EPS, _oblique_split, _part_span
 
 __all__ = [
     "CASE_DISTRIBUTIVE",
@@ -135,20 +133,12 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     m = u.shape[1]
 
     if m:
-        frame, t_matrix = sum_operator_matrix(e1, e2, tol)
-        lifted = frame @ np.linalg.solve(t_matrix, frame.conj().T @ u)
-        v = e1.basis @ (e1.basis.conj().T @ lifted)
-        w = u - v
+        v, w, _ = _oblique_split(e1, e2, u, tol)
     else:
         v = np.zeros((n, 0), dtype=np.complex128)
         w = np.zeros((n, 0), dtype=np.complex128)
 
-    bridge_span = _column_span(v, tol)
-    if bridge_span.shape[1] != m:
-        raise ConditioningError(
-            f"bridge lost dimension ({bridge_span.shape[1]} of {m}); the oblique split is unreliable"
-        )
-    bridge = Subspace(bridge_span)
+    bridge = _part_span(v, tol, "bridge")
 
     if third_outside.dim == 0:
         # Fully distributive: E3 = E2 + bridge and E1 = bridge + remainder.
@@ -196,12 +186,9 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
 
 def _certify_independent(subspaces, n, tol, label):
     total = sum(s.dim for s in subspaces)
-    stacked = np.hstack([s.basis for s in subspaces])
-    if total == 0:
-        return
     if total > n:
         raise ConditioningError(f"{label} overfill the ambient space")
-    rank = _numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
+    rank = _stacked_rank(subspaces, tol)
     if rank != total:
         raise ConditioningError(f"{label} are numerically dependent (rank {rank} of {total})")
 

@@ -483,8 +483,8 @@ def verify_isomorphism(
 
 
 def are_linearly_independent(subspaces, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the given subspaces meet pairwise sums trivially, i.e. the
-    concatenation of their bases has full column rank."""
+    """True when the concatenated bases have full column rank, i.e. the sum
+    is direct; meeting pairwise trivially is not enough (three lines in a plane)."""
     subspaces = list(subspaces)
     if not subspaces:
         return True
@@ -493,13 +493,16 @@ def are_linearly_independent(subspaces, tol: ToleranceConfig = DEFAULT_TOL) -> b
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient spaces")
     total = sum(s.dim for s in subspaces)
-    if total == 0:
-        return True
-    if total > n:
-        return False
+    return total <= n and _stacked_rank(subspaces, tol) == total
+
+
+def _stacked_rank(subspaces, tol: ToleranceConfig) -> int:
+    """Numerical rank of the concatenated bases, the one route for every
+    independence and spanning test on a family of subspaces."""
     stacked = np.hstack([s.basis for s in subspaces])
-    spectrum = np.linalg.svd(stacked, compute_uv=False)
-    return _numerical_rank(spectrum, tol) == total
+    if stacked.shape[1] == 0:
+        return 0
+    return _numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
 
 
 def _require_arity_three(system: SubspaceSystem):

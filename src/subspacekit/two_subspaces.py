@@ -30,6 +30,7 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
+    _column_span,
     _require_same_ambient,
     complement,
     complement_within,
@@ -227,6 +228,26 @@ def sum_operator_matrix(first: Subspace, second: Subspace, tol: ToleranceConfig 
     c1 = w.conj().T @ first.basis
     c2 = w.conj().T @ second.basis
     return w, c1 @ c1.conj().T + c2 @ c2.conj().T
+
+
+def _oblique_split(first: Subspace, second: Subspace, vectors: np.ndarray, tol: ToleranceConfig):
+    """Oblique split u = v + w of columns u of first + second, v in first
+    and w in second, through the inverse of the restricted sum operator.
+    Returns ``(v, w, matrix)`` with the operator's matrix as given by
+    :func:`sum_operator_matrix`."""
+    frame, matrix = sum_operator_matrix(first, second, tol)
+    lifted = frame @ np.linalg.solve(matrix, frame.conj().T @ vectors)
+    v = first.basis @ (first.basis.conj().T @ lifted)
+    return v, vectors - v, matrix
+
+
+def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
+    """Span of one part of an oblique split, which keeps the dimension of
+    the split columns when the split is reliable."""
+    span = _column_span(part, tol)
+    if span.shape[1] != part.shape[1]:
+        raise ConditioningError(f"{label} came out {span.shape[1]}-dimensional, expected {part.shape[1]}")
+    return Subspace(span)
 
 
 def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> SumOperatorReport:

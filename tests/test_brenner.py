@@ -241,6 +241,21 @@ class TestSkeletonChecks:
             with pytest.raises(ConditioningError, match="holds by construction"):
                 brenner_decompose(system)
 
+    @pytest.mark.parametrize("index", [50, 59, 76, 89, 102, 135])
+    def test_skeleton_dimensions_are_not_decided_again(self, index):
+        # At scramble condition up to 1e9 the skeleton reads the right
+        # invariants of these entries.  The relative complements and the
+        # independence test of the assembly once refused them; now each
+        # answer is verified or flagged as untrusted.
+        vector, seed, cond = corpus_spec(max_cond=1e9)[index]
+        system, _ = compose_from_multiplicities(vector, seed, cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            d = brenner_decompose(system)
+            passed = verify_brenner(system, d).passed
+        assert d.invariants == vector
+        assert (passed and d.residual <= 1e-8) or d.trusted is False
+
 
 class TestNormalizeDoubleTriangle:
     def test_remark_carrier(self):

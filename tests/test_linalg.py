@@ -154,6 +154,27 @@ class TestLatticeOps:
         rest = complement_within(whole, whole)
         assert rest.dim == 0
 
+    def test_complement_within_takes_the_dimension_count(self):
+        # containment noise of 3e-10 leaves a dropped singular value between
+        # rank_rtol and 10 rank_rtol: the count decides, the warning reports
+        whole = orthonormalize([[1, 0, 0], [0, 1, 0]])
+        part = line(1, 0, 3e-10)
+        with pytest.warns(ConditioningWarning, match="rank decision is fragile"):
+            rest = complement_within(whole, part)
+        assert rest.dim == 1
+        assert same_subspace(rest, line(0, 1, 0))
+
+    def test_complement_within_refuses_an_unclean_split(self):
+        # a loose residual_tol admits a line 45 degrees out of the plane as
+        # contained; the projected basis then has singular values 1 and
+        # 1/sqrt(2), which no count splits cleanly
+        loose = ToleranceConfig(residual_tol=0.9)
+        whole = orthonormalize([[1, 0, 0], [0, 1, 0]])
+        part = line(1, 0, 1)
+        assert contains(whole, part, loose)
+        with pytest.raises(ConditioningError, match="split cleanly"):
+            complement_within(whole, part, loose)
+
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError):
             meet(line(1, 0), line(1, 0, 0))

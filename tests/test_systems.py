@@ -205,6 +205,8 @@ class TestPredicates:
     def test_are_linearly_independent(self):
         assert are_linearly_independent([line(1, 0, 0), line(0, 1, 0)])
         assert not are_linearly_independent([line(1, 0, 0), line(1, 1e-14, 0)])
+        # three lines in a plane meet pairwise trivially yet are dependent
+        assert not are_linearly_independent([line(1, 0, 0), line(0, 1, 0), line(1, 1, 0)])
         assert are_linearly_independent([])
         assert are_linearly_independent([Subspace.zero(2), line(1, 0)])
 
