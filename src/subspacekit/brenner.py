@@ -26,7 +26,6 @@ read off one block at a time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -35,10 +34,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ConditioningError,
-    ConditioningWarning,
     Subspace,
     ToleranceConfig,
+    _collect_notes,
     _column_span,
+    _note,
     complement,
     complement_within,
     gap,
@@ -141,9 +141,10 @@ class BrennerDecomposition:
     form, and ``residual`` is the worst gap between a mapped subspace and
     its normal-form target.  ``sum_operator_sigma_min`` certifies the
     conditioning of the oblique split used for the triangle part (None when
-    there is no triangle part).  Any :class:`ConditioningWarning` raised
-    during construction is captured in ``warnings`` and marks the result
-    as not trusted.
+    there is no triangle part).  The conditioning notes of the call (rank
+    decisions near the cutoff, condition numbers over ``cond_warn``, a
+    ``residual`` over ``residual_tol``) are collected per call and per
+    thread into ``warnings``; any note marks the result as not trusted.
     """
 
     common: Subspace
@@ -300,32 +301,19 @@ def brenner_decompose(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL
     the coordinate normal form, and a residual certifying the result.  The
     intersection skeleton is computed once and serves both the invariants
     and the change of basis.  Rank-decision inconsistencies raise
-    :class:`ConditioningError`; near-cutoff singular values are captured as
-    warnings on the result.
+    :class:`ConditioningError`; conditioning notes are collected into
+    ``warnings`` on the result, for this call and thread alone, not emitted.
     """
     _require_arity_three(system)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pieces = _skeleton(system, tol)
-        decomposition = _assemble(system, pieces, tol)
-    return replace(decomposition, warnings=_conditioning_notes(caught))
-
-
-def _conditioning_notes(caught) -> tuple:
-    """Messages of the captured :class:`ConditioningWarning` instances;
-    anything unrelated is passed through to the caller."""
-    for w in caught:
-        if not issubclass(w.category, ConditioningWarning):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return tuple(
-        str(w.message) for w in caught if issubclass(w.category, ConditioningWarning)
-    )
+    with _collect_notes() as notes:
+        decomposition = _assemble(system, _skeleton(system, tol), tol)
+    return replace(decomposition, warnings=tuple(notes))
 
 
 def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
     """Everything after the skeleton: the oblique split of the triangle
-    part, the change of basis and the normal-form residual.  The result
-    carries no warnings; the caller decides what to do with any raised."""
+    part, the change of basis and the normal-form residual.  Its notes go
+    through ``_note``; the caller decides where they are collected."""
     e1, e2, e3 = system.subspaces
     n = system.ambient_dim
     triangle_3 = pieces["triangle_3"]
@@ -337,11 +325,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         spectrum = np.linalg.svd(t_matrix, compute_uv=False)
         sigma_min = float(spectrum[-1])
         if spectrum[0] / sigma_min > tol.cond_warn:
-            warnings.warn(
-                f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}",
-                ConditioningWarning,
-                stacklevel=2,
-            )
+            _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}", 2)
         triangle_1 = _part_span(q1_vectors, tol, "first triangle family")
         triangle_2 = _part_span(q2_vectors, tol, "second triangle family")
     else:  # no triangle part: every triangle piece is zero
@@ -366,15 +350,13 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
     spectrum = np.linalg.svd(block_matrix, compute_uv=False)
     condition = float(spectrum[0] / spectrum[-1])
     if condition > tol.cond_warn:
-        warnings.warn(
-            f"change of basis has condition {condition:.3e}",
-            ConditioningWarning,
-            stacklevel=2,
-        )
+        _note(f"change of basis has condition {condition:.3e}", 2)
     change_of_basis = np.linalg.inv(block_matrix)
 
     sizes = [c.shape[1] for c in columns]
     residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), tol)
+    if residual > tol.residual_tol:
+        _note(f"normal-form residual {residual:.3e} exceeds residual_tol {tol.residual_tol:.3e}", 2)
 
     return BrennerDecomposition(
         **pieces,
@@ -546,7 +528,7 @@ def normalize_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEF
     if not _is_double_triangle(decomposition.invariants):
         raise ValueError("not a double triangle: need pairwise trivial meets and pairwise full joins")
     for note in decomposition.warnings:
-        warnings.warn(note, ConditioningWarning)
+        _note(note, 1)
     return decomposition.invariants.triangle, decomposition.change_of_basis
 
 
@@ -567,8 +549,9 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     The skeletons give both invariant vectors; only when they agree and
     the ambient dimensions match are the skeletons assembled into changes
     of basis, and the witness is a's change of basis composed with the
-    inverse of b's.  Warnings from the skeletons reach the caller; those
-    from the assembly stay with the discarded decompositions.
+    inverse of b's.  Notes from the skeletons reach the caller as
+    :class:`ConditioningWarning`; those from the assembly are collected for
+    this call alone and dropped with the discarded decompositions.
     """
     _require_arity_three(a)
     _require_arity_three(b)
@@ -577,11 +560,9 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     invariants_a, invariants_b = _invariants_of(pieces_a), _invariants_of(pieces_b)
     if a.ambient_dim != b.ambient_dim or invariants_a != invariants_b:
         return invariants_a, invariants_b, None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _collect_notes():
         da = _assemble(a, pieces_a, tol)
         db = _assemble(b, pieces_b, tol)
-    _conditioning_notes(caught)  # only unrelated warnings go on to the caller
     witness = np.linalg.solve(db.change_of_basis, da.change_of_basis)
     return invariants_a, invariants_b, witness
 

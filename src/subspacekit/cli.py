@@ -33,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -51,9 +50,9 @@ from .catalog import compose_from_multiplicities
 from .linalg import (
     DEFAULT_TOL,
     ConditioningError,
-    ConditioningWarning,
     Subspace,
     ToleranceConfig,
+    _note,
     orthonormalize,
     principal_angles,
 )
@@ -318,7 +317,7 @@ def cmd_analyze(args, overrides):
         # means transitive and more than one means decomposable.
         decomposition = brenner_decompose(system, tol)
         for note in decomposition.warnings:
-            warnings.warn(note, ConditioningWarning)
+            _note(note, 1)
         invariants = decomposition.invariants
         transitive = invariants.total_atoms == 1
         witness = None if transitive else _atom_idempotent(system, decomposition, tol)

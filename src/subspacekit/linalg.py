@@ -13,11 +13,17 @@ different matrices, so the dimension identity
 holds in exact arithmetic only; the Brenner skeleton's modular-law check
 catches a rounding disagreement at the cutoff.  Relative complements
 decide no dimension: they take the count the lattice already decided.
+
+Conditioning notes have one emitter, ``_note``: inside ``_collect_notes``
+it appends to that call's list, kept per thread and task in a context
+variable; anywhere else it issues a :class:`ConditioningWarning`.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,29 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+_NOTES: ContextVar = ContextVar("subspacekit_notes", default=None)
+
+
+def _note(message: str, stacklevel: int):
+    """Append a conditioning note to the active collector, or else warn from
+    ``stacklevel`` frames above the caller, as ``warnings.warn`` counts."""
+    sink = _NOTES.get()
+    if sink is None:
+        warnings.warn(message, ConditioningWarning, stacklevel=stacklevel + 1)
+    else:
+        sink.append(message)
+
+
+@contextmanager
+def _collect_notes():
+    """Collect the enclosed notes, in order, into the yielded list."""
+    sink = []
+    token = _NOTES.set(sink)
+    try:
+        yield sink
+    finally:
+        _NOTES.reset(token)
+
 
 def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=None) -> int:
     """Shared rank rule.
@@ -104,14 +133,13 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
 
 
 def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int):
-    """:class:`ConditioningWarning` for singular values within a decade of ``cutoff``."""
+    """Conditioning note for singular values within a decade of ``cutoff``."""
     near = int(np.count_nonzero((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     if near:
-        warnings.warn(
+        _note(
             f"{near} singular value(s) within a decade of the rank cutoff {cutoff:.3e}; "
             "rank decision is fragile",
-            ConditioningWarning,
-            stacklevel=stacklevel,
+            stacklevel,
         )
 
 

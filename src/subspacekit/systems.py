@@ -29,6 +29,7 @@ from .linalg import (
     ToleranceConfig,
     _column_span,
     _numerical_rank,
+    complement,
     contains,
     gap,
     join,
@@ -221,30 +222,15 @@ def hom_basis(source: SubspaceSystem, target: SubspaceSystem, tol: ToleranceConf
         if e.dim == 0 or f.dim == m:
             continue  # no constraint: the source part is zero or the target part is everything
         # rows of the constraint: vec(C^H X B) = (B^T kron C^H) vec(X)
-        c = _orthocomplement_basis(f)
+        c = complement(f).basis
         blocks.append(np.kron(e.basis.T, c.conj().T))
-    if not blocks:
-        maps = tuple(_unit_matrix(m, n, j) for j in range(m * n))
-        return HomBasis(source, target, maps)
-    constraint = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
-    rank = _numerical_rank(s, tol)
-    null_rows = vh[rank:, :]
-    maps = tuple(
-        np.reshape(row.conj(), (m, n), order="F") for row in null_rows
-    )
+    if blocks:
+        _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
+        null_rows = vh[_numerical_rank(s, tol) :, :].conj()
+    else:  # every map qualifies: the unit matrices, in column-major order
+        null_rows = np.eye(m * n, dtype=np.complex128)
+    maps = tuple(np.reshape(row, (m, n), order="F") for row in null_rows)
     return HomBasis(source, target, maps)
-
-
-def _orthocomplement_basis(s: Subspace) -> np.ndarray:
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return u[:, s.dim :]
-
-
-def _unit_matrix(m, n, j):
-    x = np.zeros((m, n), dtype=np.complex128)
-    x[j % m, j // m] = 1.0
-    return x
 
 
 def is_transitive(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -292,7 +278,7 @@ def _is_endomorphism(x: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
     for s in system.subspaces:
         if s.dim == 0 or s.dim == system.ambient_dim:
             continue
-        leakage = _orthocomplement_basis(s).conj().T @ x @ s.basis
+        leakage = complement(s).basis.conj().T @ x @ s.basis
         if leakage.size and np.linalg.norm(leakage, 2) > tol.residual_tol:
             return False
     return True

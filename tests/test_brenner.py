@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import corpus_spec
 from subspacekit import (
+    DEFAULT_TOL,
     ConditioningError,
     ConditioningWarning,
     InvariantVector,
@@ -255,6 +258,51 @@ class TestSkeletonChecks:
             passed = verify_brenner(system, d).passed
         assert d.invariants == vector
         assert (passed and d.residual <= 1e-8) or d.trusted is False
+
+
+def decomposition_outcome(system):
+    """What a caller reads off one decomposition: its notes and trust, or
+    the refusal."""
+    try:
+        d = brenner_decompose(system)
+    except ConditioningError as exc:
+        return ("refused", str(exc))
+    return (d.warnings, d.trusted)
+
+
+class TestConditioningNotes:
+    @pytest.mark.parametrize("max_cond, index", [(1e9, 3), (1e9, 123), (1e10, 37)])
+    def test_residual_over_tolerance_is_untrusted(self, max_cond, index):
+        # no rank decision near its cutoff and no large condition number,
+        # yet the normal-form residual misses residual_tol
+        vector, seed, cond = corpus_spec(max_cond=max_cond)[index]
+        system, _ = compose_from_multiplicities(vector, seed, cond)
+        d = brenner_decompose(system)
+        assert d.residual > DEFAULT_TOL.residual_tol
+        assert d.trusted is False
+        assert d.warnings[-1] == (
+            f"normal-form residual {d.residual:.3e} exceeds residual_tol 1.000e-08"
+        )
+
+    def test_threads_keep_their_own_notes(self):
+        # many of these systems carry notes and a few are refused; a
+        # thread must never see another thread's notes
+        systems = [
+            compose_from_multiplicities(vector, seed, cond)[0]
+            for vector, seed, cond in corpus_spec(max_cond=1e9)[:120]
+        ]
+        serial = [decomposition_outcome(s) for s in systems]
+        assert sum(outcome[0] == "refused" for outcome in serial) > 0
+        assert sum(bool(outcome[0]) for outcome in serial) > len(serial) // 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = [list(pool.map(decomposition_outcome, systems)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in threaded:
+            assert run == serial
 
 
 class TestNormalizeDoubleTriangle:

@@ -36,6 +36,38 @@ def unused_imports(path: Path) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def warnings_uses(path: Path) -> list:
+    """Every name a module takes from the ``warnings`` module, as
+    ``(name, enclosing function, line)``; ``<module>`` is the top level.
+
+    Both ``warnings.<name>`` and ``from warnings import <name>`` count.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id == "warnings":
+                    found.append((child.attr, scope, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and child.module == "warnings":
+                found.extend((alias.name, scope, child.lineno) for alias in child.names)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(tree, "<module>")
+    return sorted(found, key=lambda use: use[2])
+
+
+def package_warnings_uses(name: str) -> list:
+    return [
+        (path.name, scope)
+        for path in MODULES
+        for used, scope, _ in warnings_uses(path)
+        if used == name
+    ]
+
+
 def test_package_modules_are_found():
     assert {"linalg.py", "brenner.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -57,3 +89,32 @@ def test_detects_an_unused_import(tmp_path):
         "    return np.zeros(1)\n"
     )
     assert unused_imports(module) == ["meet (line 4)", "os (line 2)"]
+
+
+def test_one_conditioning_emitter():
+    # every conditioning note leaves through linalg._note
+    assert package_warnings_uses("warn") == [("linalg.py", "_note")]
+
+
+def test_no_process_global_warnings_capture():
+    # notes are collected per call by linalg._collect_notes
+    assert package_warnings_uses("catch_warnings") == []
+
+
+def test_detects_a_second_warnings_route(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import warnings\n"
+        "from warnings import warn as emit\n"
+        "def _note(message):\n"
+        "    warnings.warn(message)\n"
+        "def decompose():\n"
+        "    with warnings.catch_warnings(record=True):\n"
+        "        warnings.warn('again')\n"
+    )
+    assert warnings_uses(module) == [
+        ("warn", "<module>", 2),
+        ("warn", "_note", 4),
+        ("catch_warnings", "decompose", 6),
+        ("warn", "decompose", 7),
+    ]
