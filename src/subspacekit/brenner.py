@@ -38,6 +38,7 @@ from .linalg import (
     ToleranceConfig,
     _collect_notes,
     _column_span,
+    _meet_join,
     _note,
     complement,
     complement_within,
@@ -196,27 +197,23 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     """All intersection-determined pieces of the decomposition.
 
     Returns a dict with the seven distributive pieces, the third triangle
-    family and the outside part.  The dimensions it decides must obey the
-    modular law, which it checks at no factorization cost; a violation is
-    an unstable rank decision and raises :class:`ConditioningError`.
+    family, the outside part and ``join_12`` = E1 + E2.  Its dimensions
+    must obey the modular law, checked at no factorization cost; a
+    violation is an unstable rank decision and raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
-    meet_12 = meet(e1, e2, tol)
-    meet_13 = meet(e1, e3, tol)
-    meet_23 = meet(e2, e3, tol)
+    meet_12, join_12 = _meet_join(e1, e2, tol)
+    meet_13, join_13 = _meet_join(e1, e3, tol)
+    meet_23, join_23 = _meet_join(e2, e3, tol)
     common = meet(meet_12, e3, tol)
 
     pair_23 = _complement_in(meet_23, common, tol)
     pair_13 = _complement_in(meet_13, common, tol)
     pair_12 = _complement_in(meet_12, common, tol)
 
-    join_12 = join(e1, e2, tol)
-    join_13 = join(e1, e3, tol)
-    join_23 = join(e2, e3, tol)
-
     inside_1 = meet(e1, join_23, tol)
     inside_2 = meet(e2, join_13, tol)
-    inside_3 = meet(e3, join_12, tol)
+    inside_3, total = _meet_join(e3, join_12, tol)
 
     single_1 = _complement_in(e1, inside_1, tol)
     single_2 = _complement_in(e2, inside_2, tol)
@@ -226,12 +223,11 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     # shares with E1 and with E2 individually.
     shared_3 = join(meet_13, meet_23, tol)
     triangle_3 = _complement_in(inside_3, shared_3, tol)
-
-    total = join(join_12, e3, tol)
     outside = complement(total)
 
     # Modular law: dim E_i ∩ (E_j + E_k) = d_i + dim(E_j + E_k) - dim(E1 + E2 + E3),
-    # of which k lie beyond meet_ij + meet_ik (for E3, k is read that way).
+    # of which k lie beyond meet_ij + meet_ik (for E3, k is read that way);
+    # for E3 it holds by construction, as inside_3 and total share one SVD.
     k = triangle_3.dim
     excess_1 = inside_1.dim - meet_12.dim - meet_13.dim + common.dim
     excess_2 = inside_2.dim - meet_12.dim - meet_23.dim + common.dim
@@ -240,7 +236,7 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
             f"triangle multiplicities disagree across the three subspaces "
             f"({excess_1}, {excess_2}, {k}); rank decisions were inconsistent"
         )
-    for i, others, inside in ((0, join_23, inside_1), (1, join_13, inside_2), (2, join_12, inside_3)):
+    for i, others, inside in ((0, join_23, inside_1), (1, join_13, inside_2)):
         expected = system.subspaces[i].dim + others.dim - total.dim
         if inside.dim != expected:
             raise ConditioningError(
@@ -258,6 +254,7 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "single_3": single_3,
         "triangle_3": triangle_3,
         "outside": outside,
+        "join_12": join_12,
     }
 
 
@@ -321,7 +318,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
 
     sigma_min = None
     if k:
-        q1_vectors, q2_vectors, t_matrix = _oblique_split(e1, e2, triangle_3.basis, tol)
+        q1_vectors, q2_vectors, t_matrix = _oblique_split(e1, e2, pieces["join_12"].basis, triangle_3.basis)
         spectrum = np.linalg.svd(t_matrix, compute_uv=False)
         sigma_min = float(spectrum[-1])
         if spectrum[0] / sigma_min > tol.cond_warn:
@@ -359,7 +356,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         _note(f"normal-form residual {residual:.3e} exceeds residual_tol {tol.residual_tol:.3e}", 2)
 
     return BrennerDecomposition(
-        **pieces,
+        **{name: pieces[name] for name in BLOCK_NAMES if name in pieces},
         triangle_1=triangle_1,
         triangle_2=triangle_2,
         change_of_basis=change_of_basis,
@@ -473,10 +470,8 @@ def verify_brenner(
 
     q = (d.triangle_1, d.triangle_2, d.triangle_3)
     dims_equal = q[0].dim == q[1].dim == q[2].dim
-    meet_dims = tuple(
-        meet(q[i], q[j], tol).dim for i, j in ((0, 1), (1, 2), (2, 0))
-    )
-    joins = [join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))]
+    meets, joins = zip(*(_meet_join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))))
+    meet_dims = tuple(m.dim for m in meets)
     join_gaps = tuple(
         float(gap(joins[i], joins[j])) for i, j in ((0, 1), (1, 2), (2, 0))
     )

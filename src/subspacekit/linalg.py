@@ -5,14 +5,13 @@ columns; the zero subspace is the (n, 0) matrix and is a first-class value.
 Projections are derived on demand and never stored.
 
 Every rank decision in the package goes through one rule (count singular
-values above ``rank_rtol`` times a reference scale).  Meet and join factor
-different matrices, so the dimension identity
+values above ``rank_rtol`` times a reference scale).  Meet and join share
+one factorization and one rank decision, so the dimension identity
 
     dim meet(A, B) + dim join(A, B) == dim A + dim B
 
-holds in exact arithmetic only; the Brenner skeleton's modular-law check
-catches a rounding disagreement at the cutoff.  Relative complements
-decide no dimension: they take the count the lattice already decided.
+holds by construction.  Relative complements decide no dimension: they
+take the count the lattice already decided.
 
 Conditioning notes have one emitter, ``_note``: inside ``_collect_notes``
 it appends to that call's list, kept per thread and task in a context
@@ -113,13 +112,14 @@ def _collect_notes():
         _NOTES.reset(token)
 
 
-def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=None) -> int:
+def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=2) -> int:
     """Shared rank rule.
 
     ``scale`` defaults to the largest singular value.  Pass ``scale=1.0``
     for matrices whose singular values have an absolute meaning (for
     example sines of principal angles), where a relative cutoff would
-    promote pure rounding noise to full rank.
+    promote pure rounding noise to full rank.  A near-cutoff note is placed
+    as ``warnings.warn(stacklevel=stacklevel)`` called by the caller would.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
@@ -128,7 +128,7 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
     if reference <= 0.0:
         return 0
     cutoff = tol.rank_rtol * reference
-    _warn_near_cutoff(s, cutoff, stacklevel=4)
+    _warn_near_cutoff(s, cutoff, stacklevel + 2)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -143,14 +143,15 @@ def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int):
         )
 
 
-def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.ndarray:
-    """Orthonormal basis (as columns) for the column space of ``matrix``."""
+def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=1) -> np.ndarray:
+    """Orthonormal basis (as columns) for the column space of ``matrix``;
+    ``stacklevel`` places a note as in :func:`_numerical_rank`."""
     matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
     n, k = matrix.shape
     if k == 0:
         return np.zeros((n, 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, : _numerical_rank(s, tol, scale=scale)]
+    return u[:, : _numerical_rank(s, tol, scale=scale, stacklevel=stacklevel + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,37 +255,38 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
         )
     if not (np.all(np.isfinite(array.real)) and np.all(np.isfinite(array.imag))):
         raise ValueError("spanning vectors must be finite")
-    return Subspace(_column_span(array.T, tol))
+    return Subspace(_column_span(array.T, tol, stacklevel=2))
+
+
+def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig, stacklevel=1):
+    """``(meet, join)`` of a pair from one SVD of [B_a | B_b] and one rank
+    decision: the join from the leading left singular vectors, the meet from
+    the null right ones, each a pair (x; y) with B_a x = -B_b y in both.
+    ``stacklevel`` places a note as in :func:`_numerical_rank`."""
+    _require_same_ambient(a, b)
+    n, k = a.ambient_dim, a.dim + b.dim
+    if a.dim == 0 or b.dim == 0:  # an orthonormal basis decides its own rank
+        return Subspace.zero(n), b if a.dim == 0 else a
+    u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=k > n)
+    rank = _numerical_rank(s, tol, stacklevel=stacklevel + 1)
+    joined = Subspace(u[:, :rank])
+    if rank == k:
+        return Subspace.zero(n), joined
+    # Each orthonormal null pair has halves of norm exactly 1/sqrt(2).
+    q, _ = np.linalg.qr(a.basis @ vh[rank:, : a.dim].conj().T * np.sqrt(2.0))
+    return Subspace(q), joined
 
 
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    """Intersection of two subspaces.
-
-    Computed from the nullspace of [B_a | -B_b]: a null vector is a pair of
-    coefficient blocks expressing one ambient vector in both bases.  In
-    exact arithmetic its singular values are those of the concatenation
-    behind :func:`join`; see the module docstring for rounding.
-    """
-    _require_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = np.hstack([a.basis, -b.basis])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    rank = _numerical_rank(s, tol)
-    coeff = vh[rank:, :].conj().T  # (dim a + dim b, nullity), orthonormal columns
-    if coeff.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
-    # Each null pair (x; y) gives the same ambient vector from either side,
-    # of norm exactly 1/sqrt(2); rescale and polish.
-    vectors = a.basis @ coeff[: a.dim, :] * np.sqrt(2.0)
-    q, _ = np.linalg.qr(vectors)
-    return Subspace(q)
+    """Intersection of two subspaces.  One factorization serves it and
+    :func:`join`, so dim meet + dim join = dim a + dim b by construction."""
+    return _meet_join(a, b, tol, stacklevel=2)[0]
 
 
 def join(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    """Sum (span of the union) of two subspaces."""
-    _require_same_ambient(a, b)
-    return Subspace(_column_span(np.hstack([a.basis, b.basis]), tol))
+    """Sum (span of the union) of two subspaces.  One factorization serves
+    it and :func:`meet`, so dim meet + dim join = dim a + dim b by construction."""
+    return _meet_join(a, b, tol, stacklevel=2)[1]
 
 
 def complement(a: Subspace) -> Subspace:
@@ -314,7 +316,7 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
         return whole
     residual = whole.basis - part.basis @ (part.basis.conj().T @ whole.basis)
     u, s, _ = np.linalg.svd(np.ascontiguousarray(residual), full_matrices=False)
-    _warn_near_cutoff(s, tol.rank_rtol, stacklevel=2)
+    _warn_near_cutoff(s, tol.rank_rtol, stacklevel=3)
     expected = whole.dim - part.dim
     kept, dropped = s[:expected].min(initial=1.0), s[expected:].max(initial=0.0)
     if kept < 0.5 or dropped >= 0.5:

@@ -35,6 +35,7 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
+    _meet_join,
     complement_within,
     contains,
     join,
@@ -114,7 +115,8 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     e1, e2, e3 = system.subspaces
     n = system.ambient_dim
 
-    if meet(e1, e2, tol).dim != 0:
+    meet_12, span_12 = _meet_join(e1, e2, tol)
+    if meet_12.dim != 0:
         raise ValueError(
             "hypothesis failure: the first and second subspaces have a nontrivial intersection"
         )
@@ -125,7 +127,6 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
             "hypothesis failure: containment of the second subspace in the third must be strict"
         )
 
-    span_12 = join(e1, e2, tol)
     inside = meet(e3, span_12, tol)
     third_outside = complement_within(e3, inside, tol)
     quotient = complement_within(inside, e2, tol)  # e2 sits inside both e3 and span_12
@@ -133,7 +134,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     m = u.shape[1]
 
     if m:
-        v, w, _ = _oblique_split(e1, e2, u, tol)
+        v, w, _ = _oblique_split(e1, e2, span_12.basis, u)
     else:
         v = np.zeros((n, 0), dtype=np.complex128)
         w = np.zeros((n, 0), dtype=np.complex128)
@@ -163,11 +164,11 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     first_core = complement_within(e1, bridge, tol)
     third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
     _certify_independent((bridge, first_core, e2, third_outside), n, tol, "pentagon parts")
-    if meet(first_core, third_core, tol).dim != 0:
+    meet_core, carrier = _meet_join(first_core, third_core, tol)
+    if meet_core.dim != 0:
         raise ConditioningError(
             "reduced first and third subspaces still intersect; conditioning is insufficient"
         )
-    carrier = join(first_core, third_core, tol)
     core = restrict_system(
         SubspaceSystem.of(first_core, e2, third_core), carrier, tol
     )

@@ -28,12 +28,11 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     _column_span,
+    _meet_join,
     _numerical_rank,
     complement,
     contains,
     gap,
-    join,
-    meet,
 )
 
 __all__ = [
@@ -505,11 +504,9 @@ def detect_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEFAUL
     for s in system.subspaces:
         if s.dim == 0 or s.dim == n:
             return False
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for i, j in pairs:
-        if meet(system.subspaces[i], system.subspaces[j], tol).dim != 0:
-            return False
-        if join(system.subspaces[i], system.subspaces[j], tol).dim != n:
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        meet_ij, join_ij = _meet_join(system.subspaces[i], system.subspaces[j], tol)
+        if meet_ij.dim != 0 or join_ij.dim != n:
             return False
     return True
 

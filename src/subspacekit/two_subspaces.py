@@ -128,8 +128,9 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
     only_second = meet(comp_first, second, tol)
     in_neither = meet(comp_first, comp_second, tol)
 
-    left_first = complement_within(first, join(in_both, only_first, tol), tol)
-    left_second = complement_within(second, join(in_both, only_second, tol), tol)
+    # Each adjoined pair lies in E2 and E2^⊥ (E1 and E1^⊥): no rank to decide.
+    left_first = complement_within(first, _adjoin(in_both, only_first.basis), tol)
+    left_second = complement_within(second, _adjoin(in_both, only_second.basis), tol)
     if left_first.dim != left_second.dim:
         raise ConditioningError(
             f"generic parts disagree in dimension ({left_first.dim} vs {left_second.dim})"
@@ -220,22 +221,25 @@ def sum_operator_matrix(first: Subspace, second: Subspace, tol: ToleranceConfig 
     when the restricted sum operator is invertible.  Raises ValueError when
     both inputs are zero.
     """
-    _require_same_ambient(first, second)
     carrier = join(first, second, tol)
     if carrier.dim == 0:
         raise ValueError("the restricted sum operator needs a nonzero sum")
-    w = carrier.basis
-    c1 = w.conj().T @ first.basis
-    c2 = w.conj().T @ second.basis
-    return w, c1 @ c1.conj().T + c2 @ c2.conj().T
+    return carrier.basis, _sum_operator_on(first, second, carrier.basis)
 
 
-def _oblique_split(first: Subspace, second: Subspace, vectors: np.ndarray, tol: ToleranceConfig):
+def _sum_operator_on(first: Subspace, second: Subspace, frame: np.ndarray) -> np.ndarray:
+    """Matrix of P1 + P2 in the orthonormal ``frame`` of first + second."""
+    c1 = frame.conj().T @ first.basis
+    c2 = frame.conj().T @ second.basis
+    return c1 @ c1.conj().T + c2 @ c2.conj().T
+
+
+def _oblique_split(first: Subspace, second: Subspace, frame: np.ndarray, vectors: np.ndarray):
     """Oblique split u = v + w of columns u of first + second, v in first
-    and w in second, through the inverse of the restricted sum operator.
-    Returns ``(v, w, matrix)`` with the operator's matrix as given by
-    :func:`sum_operator_matrix`."""
-    frame, matrix = sum_operator_matrix(first, second, tol)
+    and w in second, through the inverse of the restricted sum operator on
+    the caller's orthonormal ``frame`` of first + second.  Returns
+    ``(v, w, matrix)`` with the operator's matrix in that frame."""
+    matrix = _sum_operator_on(first, second, frame)
     lifted = frame @ np.linalg.solve(matrix, frame.conj().T @ vectors)
     v = first.basis @ (first.basis.conj().T @ lifted)
     return v, vectors - v, matrix

@@ -192,13 +192,23 @@ class TestSkeletonChecks:
     """The skeleton cross-checks its rank decisions by the modular law on
     dimensions it has already decided, at no extra factorization."""
 
-    def test_five_joins_per_skeleton(self, monkeypatch):
+    def test_factorizations_per_call(self, monkeypatch):
+        # one SVD per pair for both its meet and its join, and the oblique
+        # split reuses the skeleton's E1 + E2
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        decomposition = brenner_decompose(system)
         calls = []
-        join = brenner.join
-        monkeypatch.setattr(brenner, "join", lambda *args: calls.append(1) or join(*args))
-        assert brenner_invariants(system) == ALL_SLOTS
-        assert len(calls) == 5
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+
+        def count(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        assert count(lambda: brenner_invariants(system)) == 16
+        assert count(lambda: brenner_decompose(system)) == 24
+        assert count(lambda: verify_brenner(system, decomposition)) == 7
 
     def test_lost_direction_of_first_inside_part(self, monkeypatch):
         # E1 ∩ (E2 + E3) comes out one dimension short
@@ -221,15 +231,15 @@ class TestSkeletonChecks:
         # outside part would silently gain a dimension
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
         e3 = system.subspaces[2]
-        join = brenner.join
+        meet_join = brenner._meet_join
 
         def lossy(a, b, tol):
-            result = join(a, b, tol)
-            if b is e3 and all(a is not e for e in system.subspaces):
-                return drop_last_direction(result)
-            return result
+            inside, total = meet_join(a, b, tol)
+            if a is e3 and all(b is not e for e in system.subspaces):
+                return inside, drop_last_direction(total)
+            return inside, total
 
-        monkeypatch.setattr(brenner, "join", lossy)
+        monkeypatch.setattr(brenner, "_meet_join", lossy)
         with pytest.raises(ConditioningError, match="modular law"):
             brenner_invariants(system)
 

@@ -179,6 +179,17 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             meet(line(1, 0), line(1, 0, 0))
 
+    @pytest.mark.parametrize("call", [
+        lambda: meet(line(1, 0, 0), line(1, 3e-10, 0)),
+        lambda: join(line(1, 0, 0), line(1, 3e-10, 0)),
+        lambda: orthonormalize([[1.0, 0.0], [1.0, 3e-10]]),
+        lambda: complement_within(orthonormalize([[1, 0, 0], [0, 1, 0]]), line(1, 0, 3e-10)),
+    ], ids=["meet", "join", "orthonormalize", "complement_within"])
+    def test_near_cutoff_warning_names_the_caller(self, call):
+        with pytest.warns(ConditioningWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestMetrics:
     def test_gap_of_two_lines_is_sine(self):

@@ -118,3 +118,54 @@ def test_detects_a_second_warnings_route(tmp_path):
         ("catch_warnings", "decompose", 6),
         ("warn", "decompose", 7),
     ]
+
+
+def pair_factorizations(path: Path) -> list:
+    """Functions that factor the two bases of a pair side by side, as
+    ``(function, line)``: they stack exactly two ``.basis`` arrays (either
+    may be negated) with ``hstack`` and call ``svd`` or ``_column_span``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def is_basis(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Attribute) and node.attr == "basis"
+
+    def called(node):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+        pairs = [
+            n for n in calls
+            if called(n) == "hstack" and n.args and isinstance(n.args[0], ast.List)
+            and len(n.args[0].elts) == 2 and all(map(is_basis, n.args[0].elts))
+        ]
+        if pairs and any(called(n) in ("svd", "_column_span") for n in calls):
+            found.append((func.name, pairs[0].lineno))
+    return found
+
+
+def test_one_pair_factorization():
+    # meet and join of a pair come off one SVD in linalg._meet_join
+    found = [(path.name, name) for path in MODULES for name, _ in pair_factorizations(path)]
+    assert found == [("linalg.py", "_meet_join")]
+
+
+def test_detects_a_second_pair_factorization(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "def meet(a, b):\n"
+        "    stacked = np.hstack([a.basis, -b.basis])\n"
+        "    return np.linalg.svd(stacked)\n"
+        "def join(a, b):\n"
+        "    return _column_span(np.hstack([a.basis, b.basis]))\n"
+        "def stack(parts):\n"
+        "    return np.linalg.svd(np.hstack([p.basis for p in parts]))\n"
+    )
+    assert pair_factorizations(module) == [("meet", 3), ("join", 6)]
