@@ -21,7 +21,9 @@ govern the comparison of both systems; the second file's "tolerances"
 block is only used to read its own spanning vectors.  Reports are
 deterministic: identical inputs, flags and seeds produce byte-identical
 output (dimensions as integers, residual-like quantities as fixed-format
-scientific strings).
+scientific strings).  A report, and a file ``generate`` writes, is exactly
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, but its
+matrices are written straight from their arrays (``_json_text``).
 
 Exit codes: 0 success, 1 verification or conditioning failure, 2 malformed
 input or violated preconditions.
@@ -33,6 +35,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -87,9 +90,77 @@ def _sci(value) -> str:
 
 def _matrix_entries(matrix: np.ndarray):
     """Matrix as rows of [re, im] pairs (full precision); pass the
-    transpose of a basis to list its vectors."""
+    transpose of a basis to list its vectors.  The list form of a report
+    matrix: ``_json_text`` writes this text and ``--text`` flattens it."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+# float.__repr__ spells the non-finite floats nan and inf; json writes these.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a report, where a
+    2-D numpy array with at least one column stands for its
+    ``_matrix_entries`` list.
+
+    Dictionary keys must be strings.  Scalars go through ``json.dumps``;
+    each matrix is written from ``float.__repr__`` of its real and imaginary
+    parts, which is what the encoder writes for each float, without
+    building the nested lists."""
+    parts = []
+    _write_json(value, 0, parts)
+    return "".join(parts)
+
+
+def _write_json(value, depth: int, parts: list):
+    if isinstance(value, np.ndarray):
+        _write_matrix(value, depth, parts)
+    elif isinstance(value, dict) and value:
+        inner = _newline(depth + 1)
+        opener = "{"
+        for key in sorted(value):
+            parts.append(f"{opener}{inner}{json.dumps(key)}: ")
+            _write_json(value[key], depth + 1, parts)
+            opener = ","
+        parts.append(_newline(depth) + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = _newline(depth + 1)
+        opener = "["
+        for item in value:
+            parts.append(opener + inner)
+            _write_json(item, depth + 1, parts)
+            opener = ","
+        parts.append(_newline(depth) + "]")
+    else:
+        parts.append(json.dumps(value))
+
+
+def _write_matrix(matrix: np.ndarray, depth: int, parts: list):
+    """A matrix as rows of [re, im] pairs, laid out as the indenting
+    encoder lays out ``_matrix_entries(matrix)``."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+    rows, cols = matrix.shape
+    if rows == 0:
+        parts.append("[]")
+        return
+    row_in, pair_in, entry_in = (_newline(depth + d) for d in (1, 2, 3))
+    # Real and imaginary parts interleaved, row by row.
+    floats = list(map(float.__repr__, matrix.view(np.float64).ravel().tolist()))
+    if not np.isfinite(matrix).all():
+        floats = [_NON_FINITE.get(text, text) for text in floats]
+    pair = f"[{entry_in}{{}},{entry_in}{{}}{pair_in}]".format
+    pairs = list(map(pair, floats[0::2], floats[1::2]))
+    between_pairs = "," + pair_in
+    parts.append("[" + row_in + ("," + row_in).join(
+        "[" + pair_in + between_pairs.join(pairs[start:start + cols]) + row_in + "]"
+        for start in range(0, len(pairs), cols)
+    ) + _newline(depth) + "]")
 
 
 def _tol_dict(tol: ToleranceConfig):
@@ -206,7 +277,10 @@ def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
                 raise _InputError(f"{where}: unknown tolerance {key!r}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise _InputError(f"{where}: tolerance {key} must be a number")
-            merged[key] = float(value)
+            try:
+                merged[key] = float(value)
+            except OverflowError:
+                raise _InputError(f"{where}: tolerance {key} is too large for a float")
     for key in _TOL_KEYS:
         if key in overrides:
             merged[key] = overrides[key]
@@ -219,14 +293,63 @@ def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
 def _parse_entry(value, where: str) -> complex:
     if isinstance(value, bool):
         raise _InputError(f"{where}: expected a number or [re, im] pair, got a boolean")
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        ok = all(not isinstance(x, bool) and isinstance(x, (int, float)) for x in (re, im))
-        if ok:
-            return complex(re, im)
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value, 0.0)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            re, im = value
+            ok = all(not isinstance(x, bool) and isinstance(x, (int, float)) for x in (re, im))
+            if ok:
+                return complex(re, im)
+    except OverflowError:
+        raise _InputError(
+            f"{where}: expected a number or [re, im] pair, got an integer too large for a float"
+        )
     raise _InputError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _bulk_vectors(vectors: list, ambient: int):
+    """Spanning vectors as a (k, ambient) complex array, converted by one
+    numpy call when every vector is a list of ``ambient`` entries that are
+    all numbers or all [re, im] pairs of numbers; None otherwise.  Numbers
+    are ``int`` and ``float`` only, so booleans are refused."""
+    if not all(type(vector) is list and len(vector) == ambient for vector in vectors):
+        return None
+    try:
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(vectors))))
+        shape = (len(vectors), ambient, 2)
+    except TypeError:  # some entry is a number, not a pair
+        kinds = set(map(type, chain.from_iterable(vectors)))
+        shape = (len(vectors), ambient)
+    if not kinds <= {int, float}:
+        return None
+    try:
+        values = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if values.shape != shape:
+        return None
+    if len(shape) == 2:
+        return values.astype(np.complex128)
+    return values.view(np.complex128).reshape(shape[:2])
+
+
+def _parse_vectors(vectors: list, ambient: int, field: str) -> np.ndarray:
+    """Spanning vectors as a (k, ambient) complex array.  Files that the
+    bulk conversion refuses are walked entry by entry: that accepts vectors
+    mixing numbers and pairs, and names the first bad entry."""
+    bulk = _bulk_vectors(vectors, ambient)
+    if bulk is not None:
+        return bulk
+    parsed = []
+    for j, vector in enumerate(vectors):
+        if not isinstance(vector, list) or len(vector) != ambient:
+            raise _InputError(f"{field}.spanning_vectors[{j}] must be an array of length {ambient}")
+        parsed.append([
+            _parse_entry(v, f"{field}.spanning_vectors[{j}][{k}]")
+            for k, v in enumerate(vector)
+        ])
+    return np.array(parsed, dtype=np.complex128)
 
 
 def _system_from_payload(payload, tol: ToleranceConfig, where: str) -> SubspaceSystem:
@@ -252,18 +375,8 @@ def _system_from_payload(payload, tol: ToleranceConfig, where: str) -> SubspaceS
         vectors = entry.get("spanning_vectors")
         if not isinstance(vectors, list):
             raise _InputError(f"{field}.spanning_vectors must be an array")
-        parsed = []
-        for j, vector in enumerate(vectors):
-            if not isinstance(vector, list) or len(vector) != ambient:
-                raise _InputError(
-                    f"{field}.spanning_vectors[{j}] must be an array of length {ambient}"
-                )
-            parsed.append([
-                _parse_entry(v, f"{field}.spanning_vectors[{j}][{k}]")
-                for k, v in enumerate(vector)
-            ])
-        if parsed:
-            subspaces.append(orthonormalize(np.array(parsed, dtype=np.complex128), tol))
+        if vectors:
+            subspaces.append(orthonormalize(_parse_vectors(vectors, ambient, field), tol))
         else:
             subspaces.append(Subspace.zero(ambient))
     return SubspaceSystem(
@@ -362,8 +475,8 @@ def cmd_decompose(args, overrides):
         "warnings": list(decomposition.warnings),
     }
     if args.emit_basis:
-        report["blocks"] = {n: _matrix_entries(getattr(decomposition, n).basis.T) for n in BLOCK_NAMES}
-        report["change_of_basis"] = _matrix_entries(decomposition.change_of_basis)
+        report["blocks"] = {n: getattr(decomposition, n).basis.T for n in BLOCK_NAMES}
+        report["change_of_basis"] = decomposition.change_of_basis
     return report, 0 if ok else 1
 
 
@@ -393,7 +506,7 @@ def cmd_isomorphic(args, overrides):
     report["witness_condition"] = _sci(certificate.condition)
     report["witness_verified"] = bool(certificate.passed)
     if args.emit_map:
-        report["map"] = _matrix_entries(witness)
+        report["map"] = witness
     return report, 0 if certificate.passed else 1
 
 
@@ -426,7 +539,7 @@ def cmd_generate(args, overrides):
     payload = {
         "ambient_dim": system.ambient_dim,
         "subspaces": [
-            {"name": f"E{i + 1}", "spanning_vectors": _matrix_entries(s.basis.T)}
+            {"name": f"E{i + 1}", "spanning_vectors": s.basis.T}
             for i, s in enumerate(system.subspaces)
         ],
     }
@@ -441,8 +554,7 @@ def cmd_generate(args, overrides):
     truth_path = _truth_path(args.output)
     for path, content in ((args.output, payload), (truth_path, truth)):
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(content, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(_json_text(content) + "\n")
     report = {
         "command": "generate",
         "output": args.output,
@@ -535,6 +647,8 @@ _HANDLERS = {
 
 
 def _flatten(prefix, value, lines):
+    if isinstance(value, np.ndarray):
+        value = _matrix_entries(value)
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
@@ -554,7 +668,7 @@ def _emit(report: dict, fmt: str):
         _flatten("", report, lines)
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
 
 
 def main(argv=None) -> int:

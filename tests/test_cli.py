@@ -17,6 +17,7 @@ from subspacekit import (
     brenner_decompose,
     brenner_invariants,
     cli,
+    compose_from_multiplicities,
     detect_double_triangle,
     hom_basis,
     split_by_idempotent,
@@ -344,6 +345,29 @@ class TestInputErrors:
         assert code == 2
         assert "spanning_vectors[0][1]" in err
 
+    @pytest.mark.parametrize("vectors", [
+        [[1, 10**400], [0, 1]],
+        [[[1, 0], [0, 10**400]], [[0, 0], [1, 0]]],
+    ], ids=["real", "pair"])
+    def test_oversized_integer_entry_is_located(self, capsys, tmp_path, vectors):
+        # json reads the 401-digit literal as an int that no float holds
+        path = write_system(tmp_path / "big.json", 2, [vectors, [], []])
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: subspaces[0].spanning_vectors[0][1]: expected a number "
+            "or [re, im] pair, got an integer too large for a float\n"
+        )
+
+    def test_oversized_integer_tolerance(self, capsys, tmp_path):
+        path = write_system(
+            tmp_path / "tol.json", 2, [[[1, 0]], [], []], tolerances={"rank_rtol": 10**400}
+        )
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 2
+        assert err == f"error: {path}: tolerance rank_rtol is too large for a float\n"
+
     def test_unknown_tolerance_key(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "tol.json", 2, [[[1, 0]]], tolerances={"bogus": 1e-9}
@@ -553,6 +577,219 @@ class TestGenerate:
             "--cond", "0.5", "-o", out,
         )
         assert code == 2
+
+
+def as_lists(value):
+    """A report with every matrix replaced by its ``_matrix_entries`` list,
+    the form the indenting json encoder is the reference for."""
+    if isinstance(value, np.ndarray):
+        return cli._matrix_entries(value)
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_lists(item) for item in value]
+    return value
+
+
+def reference_text(report):
+    return json.dumps(as_lists(report), indent=2, sort_keys=True)
+
+
+def handler_report(*argv):
+    args = cli._PARSER.parse_args(list(argv))
+    return cli._HANDLERS[args.command](args, cli._gather_overrides(args))
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1 + 0.2, -2.0, 3.0,
+               1e16, 2.0**53, 123456789.0, 1e-7, 2.5e-300]
+
+
+class TestJsonWriter:
+    """``_json_text`` writes exactly what ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes for the list form of a report."""
+
+    @pytest.mark.parametrize("shape", [(15, 1), (1, 15), (5, 3), (3, 5)])
+    def test_edge_floats(self, shape):
+        values = np.array(EDGE_FLOATS)
+        matrix = (values + 1j * values[::-1]).reshape(shape)
+        for report in (matrix, {"m": matrix}, [{"m": [matrix]}]):
+            assert cli._json_text(report) == reference_text(report)
+
+    def test_non_finite_floats(self):
+        matrix = np.array([[complex(np.nan, np.inf), complex(-np.inf, 0.0)]])
+        text = cli._json_text({"m": matrix})
+        assert text == reference_text({"m": matrix})
+        assert "NaN" in text and "-Infinity" in text
+
+    def test_small_fields_and_degenerate_matrices(self):
+        report = {
+            "empty_block": np.zeros((0, 4), dtype=np.complex128),
+            "map": np.array([[complex(-0.0, 1.0)]]),
+            "real_matrix": np.eye(2),
+            "labels": ["E1", None, "caf\u00e9 \"q\"\n"],
+            "flags": [True, False],
+            "nested": {"b": {}, "a": [], "c": [[1, 2.5], {"z": None}]},
+            "count": 3,
+            "residual": "1.00e-15",
+        }
+        assert cli._json_text(report) == reference_text(report)
+        assert cli._json_text({}) == "{}"
+        assert cli._json_text([]) == "[]"
+
+    def test_matrix_is_not_a_placeholder(self):
+        # a label that looks like a matrix marker is written as a string
+        report = {"input": "__matrix_0__", "map": np.ones((1, 1)), "label": "[]"}
+        assert cli._json_text(report) == reference_text(report)
+
+    def test_decompose_report(self, capsys, tmp_path, remark_file):
+        vector = InvariantVector(1, 1, 1, 1, 1, 1, 1, 2, 1)
+        path = generate(capsys, tmp_path / "g.json", vector, 8, 30.0)
+        for source in (remark_file, path):  # the remark triple has empty blocks
+            report, code = handler_report("decompose", source, "--emit-basis")
+            assert isinstance(report["change_of_basis"], np.ndarray)
+            expected = reference_text(report) + "\n"
+            got_code, out, err = run(capsys, "decompose", source, "--emit-basis")
+            assert (got_code, out, err) == (code, expected, "")
+
+    def test_isomorphic_report(self, capsys, tmp_path):
+        vector = InvariantVector(1, 0, 1, 0, 1, 0, 1, 1, 1)
+        a = generate(capsys, tmp_path / "a.json", vector, 3, 5.0)
+        b = generate(capsys, tmp_path / "b.json", vector, 4, 2.0)
+        report, code = handler_report("isomorphic", a, b, "--emit-map")
+        assert code == 0 and isinstance(report["map"], np.ndarray)
+        got_code, out, err = run(capsys, "isomorphic", a, b, "--emit-map")
+        assert (got_code, out, err) == (0, reference_text(report) + "\n", "")
+
+    def test_one_by_one_map(self, capsys, tmp_path):
+        a = write_system(tmp_path / "a.json", 1, [[[1]], [[1]], [[[0, 2]]]])
+        b = write_system(tmp_path / "b.json", 1, [[[-3]], [[0.5]], [[1]]])
+        report, code = handler_report("isomorphic", a, b, "--emit-map")
+        assert code == 0 and report["map"].shape == (1, 1)
+        assert run(capsys, "isomorphic", a, b, "--emit-map")[1] == reference_text(report) + "\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "isomorphic"])
+    def test_text_format_matches_list_reference(self, capsys, tmp_path, command):
+        vector = InvariantVector(1, 0, 0, 1, 0, 1, 0, 1, 1)
+        a = generate(capsys, tmp_path / "a.json", vector, 5, 3.0)
+        b = generate(capsys, tmp_path / "b.json", vector, 6, 3.0)
+        if command == "decompose":
+            argv, key = ["decompose", a, "--emit-basis"], "change_of_basis"
+        else:
+            argv, key = ["isomorphic", a, b, "--emit-map"], "map"
+        report, code = handler_report(*argv)
+        expected = []
+        cli._flatten("", as_lists(report), expected)
+        got_code, out, err = run(capsys, *argv, "--text")
+        assert (got_code, err) == (code, "")
+        assert out == "\n".join(expected) + "\n"
+        z = report[key][1, 2]
+        assert f"{key}[1][2]: {float(z.real)} {float(z.imag)}" in out.splitlines()
+        if command == "decompose":
+            assert "blocks.pair_23: " in out.splitlines()  # an empty block
+
+    def test_generated_files_are_reference_text(self, capsys, tmp_path):
+        # n = 168 with every slot populated, the largest large_dense shape
+        vector = InvariantVector(11, 11, 11, 11, 10, 10, 10, 42, 10)
+        path = tmp_path / "big.json"
+        generate(capsys, path, vector, 5, 30.0)
+        system, _ = compose_from_multiplicities(vector, 5, 30.0, DEFAULT_TOL)
+        assert system.ambient_dim == 168
+        payload = {
+            "ambient_dim": system.ambient_dim,
+            "subspaces": [
+                {"name": f"E{i + 1}", "spanning_vectors": cli._matrix_entries(s.basis.T)}
+                for i, s in enumerate(system.subspaces)
+            ],
+        }
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        truth = (tmp_path / "big.truth.json").read_text()
+        assert truth == json.dumps(json.loads(truth), indent=2, sort_keys=True) + "\n"
+
+
+def entrywise(vectors):
+    """The spanning vectors parsed one entry at a time, the reference for
+    the bulk conversion."""
+    return np.array(
+        [[cli._parse_entry(v, "entry") for v in vector] for vector in vectors],
+        dtype=np.complex128,
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestBulkEntries:
+    def test_generated_files_match_entrywise_reference(self, capsys, tmp_path):
+        for seed, (vector, cond) in enumerate([
+            (InvariantVector(2, 1, 1, 1, 1, 1, 1, 2, 1), 50.0),
+            (InvariantVector(0, 0, 3, 0, 0, 2, 0, 0, 1), 1e6),
+        ]):
+            path = generate(capsys, tmp_path / f"g{seed}.json", vector, seed, cond)
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+            for entry in payload["subspaces"]:
+                vectors = entry["spanning_vectors"]
+                if not vectors:
+                    continue
+                bulk = cli._bulk_vectors(vectors, payload["ambient_dim"])
+                assert bulk is not None
+                assert np.array_equal(bulk, entrywise(vectors))
+                assert same_bits(bulk, entrywise(vectors))
+
+    @pytest.mark.parametrize("vectors", [
+        [[1, -2, 0], [2**64 + 3, -2**70, 10**300], [2**53 + 1, 0.5, -0.0]],
+        [[[1, -2], [0, 3], [-0.0, 2**63 + 1]], [[0.25, 0], [7, -7], [10**300, 1]]],
+    ], ids=["real", "pairs"])
+    def test_integer_entries(self, vectors):
+        bulk = cli._bulk_vectors(vectors, 3)
+        assert bulk is not None
+        assert same_bits(bulk, entrywise(vectors))
+
+    def test_mixed_vectors_are_accepted(self, capsys, tmp_path):
+        mixed = [[1, [0, 1], 0.5], [[2, 0], 0, [0, -1]]]
+        pairs = [[[1, 0], [0, 1], [0.5, 0]], [[2, 0], [0, 0], [0, -1]]]
+        assert cli._bulk_vectors(mixed, 3) is None
+        assert same_bits(cli._parse_vectors(mixed, 3, "f"), entrywise(pairs))
+        a = write_system(tmp_path / "a.json", 3, [mixed, [[0, 0, 1]], [[1, 1, 1]]])
+        b = write_system(tmp_path / "b.json", 3, [pairs, [[0, 0, 1]], [[1, 1, 1]]])
+        code_a, out_a, _ = run(capsys, "analyze", a)
+        code_b, out_b, _ = run(capsys, "analyze", b)
+        assert code_a == code_b == 0
+        assert out_a.replace(a, b) == out_b
+
+    @pytest.mark.parametrize("vectors,where,got", [
+        ([[1, 0], [0.5, True]], "[1][1]", "a boolean"),
+        ([[[1, 0], [0, 0]], [[0.5, 0], [True, 0]]], "[1][1]", "[True, 0]"),
+        ([[[1, 0], [0, 0]], [[0.5, 0], [0, False]]], "[1][1]", "[0, False]"),
+        ([[[1, 0], [1, 2, 3]]], "[0][1]", "[1, 2, 3]"),
+        ([[[1, 0, 0], [1, 2, 3]]], "[0][0]", "[1, 0, 0]"),
+        ([[1, "x"]], "[0][1]", "'x'"),
+        ([[[1, 0], {}]], "[0][1]", "{}"),
+        ([[1, True], 5], "[0][1]", "a boolean"),  # the first bad entry in file order
+    ], ids=["real-bool", "re-bool", "im-bool", "length-3", "all-length-3", "string", "object",
+            "order"])
+    def test_bad_entry_messages(self, capsys, tmp_path, vectors, where, got):
+        path = write_system(tmp_path / "bad.json", 2, [vectors, [], []])
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 2
+        assert err == (
+            f"error: {path}: subspaces[0].spanning_vectors{where}: expected a number "
+            f"or [re, im] pair, got {got}\n"
+        )
+
+    @pytest.mark.parametrize("vectors,j", [
+        ([[1, 0], [1]], 1),
+        ([[[1, 0], [0, 1], [0, 0]]], 0),
+        ([[1, 0], 5], 1),
+    ], ids=["short", "long", "not-a-list"])
+    def test_ragged_vector_is_located(self, capsys, tmp_path, vectors, j):
+        path = write_system(tmp_path / "bad.json", 2, [[[1, 0]], vectors, []])
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 2
+        assert err == f"error: {path}: subspaces[1].spanning_vectors[{j}] must be an array of length 2\n"
 
 
 class TestPentagonCommand:

@@ -169,3 +169,66 @@ def test_detects_a_second_pair_factorization(tmp_path):
         "    return np.linalg.svd(np.hstack([p.basis for p in parts]))\n"
     )
     assert pair_factorizations(module) == [("meet", 3), ("join", 6)]
+
+
+def indented_json_writes(path: Path) -> list:
+    """Calls of ``json.dump`` or ``json.dumps`` that pass ``indent``, or
+    unpack keywords that may hold it, as ``(enclosing function, line)``.
+    With ``indent`` set the json module skips its C encoder and writes every
+    float in Python; ``cli._json_text`` writes that layout instead."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, functions = {"json"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "json" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update(a.asname or a.name for a in node.names if a.name in ("dump", "dumps"))
+
+    def is_json_write(func):
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.value.id in modules and func.attr in ("dump", "dumps")
+        return isinstance(func, ast.Name) and func.id in functions
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and is_json_write(child.func):
+                if any(keyword.arg in ("indent", None) for keyword in child.keywords):
+                    found.append((scope, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_indented_json_encoder():
+    # reports and generated files are written by cli._json_text
+    assert [(path.name, scope) for path in MODULES for scope, _ in indented_json_writes(path)] == []
+
+
+def test_detects_an_indented_json_write(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps as render\n"
+        "def emit(report):\n"
+        "    return json.dumps(report, indent=2, sort_keys=True)\n"
+        "def save(report, handle, options):\n"
+        "    json.dump(report, handle, indent=None)\n"
+        "    j.dumps(report, **options)\n"
+        "def show(report):\n"
+        "    return render(report, indent=1)\n"
+        "def fast(report):\n"
+        "    return json.dumps(report, sort_keys=True) + render(report, separators=(',', ':'))\n"
+        "TEXT = json.dumps({}, indent=4)\n"
+    )
+    assert indented_json_writes(module) == [
+        ("emit", 5),
+        ("save", 7),
+        ("save", 8),
+        ("show", 10),
+        ("<module>", 13),
+    ]
