@@ -307,22 +307,23 @@ def brenner_decompose(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL
     return replace(decomposition, warnings=tuple(notes))
 
 
-def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
-    """Everything after the skeleton: the oblique split of the triangle
-    part, the change of basis and the normal-form residual.  Its notes go
-    through ``_note``; the caller decides where they are collected."""
-    e1, e2, e3 = system.subspaces
+def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfig):
+    """The uncertified change of basis built on a skeleton: the oblique
+    split of the triangle part, the independence checks on the blocks and
+    the matrix whose columns are the blocks' bases in slot order.
+
+    Returns ``(block_matrix, sizes, t_matrix, triangle_1, triangle_2)``:
+    ``sizes`` is the ten-block column layout and ``t_matrix`` the
+    restricted sum operator the split inverted (None when there is no
+    triangle part).  Its notes go through ``_note``; the caller decides where they
+    are collected."""
+    e1, e2, _ = system.subspaces
     n = system.ambient_dim
     triangle_3 = pieces["triangle_3"]
-    k = triangle_3.dim
 
-    sigma_min = None
-    if k:
+    t_matrix = None
+    if triangle_3.dim:
         q1_vectors, q2_vectors, t_matrix = _oblique_split(e1, e2, pieces["join_12"].basis, triangle_3.basis)
-        spectrum = np.linalg.svd(t_matrix, compute_uv=False)
-        sigma_min = float(spectrum[-1])
-        if spectrum[0] / sigma_min > tol.cond_warn:
-            _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}", 2)
         triangle_1 = _part_span(q1_vectors, tol, "first triangle family")
         triangle_2 = _part_span(q2_vectors, tol, "second triangle family")
     else:  # no triangle part: every triangle piece is zero
@@ -343,15 +344,37 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
     # kept raw (q1 then q2) so that the third family lands exactly on
     # the diagonal pairs of coordinates.
     columns = [b.basis for b in blocks[:7]] + [q1_vectors, q2_vectors, pieces["outside"].basis]
-    block_matrix = np.hstack(columns)
+    sizes = [c.shape[1] for c in columns]
+    return np.hstack(columns), sizes, t_matrix, triangle_1, triangle_2
+
+
+def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
+    """Everything after the skeleton: the change of basis of
+    :func:`_change_of_basis_columns`, certified by the conditioning of the
+    restricted sum operator and of the change of basis, and by the
+    normal-form residual.  Its notes go through ``_note`` in the order the
+    decisions were made; the caller decides where they are collected."""
+    with _collect_notes() as column_notes:
+        block_matrix, sizes, t_matrix, triangle_1, triangle_2 = _change_of_basis_columns(system, pieces, tol)
+
+    sigma_min = None
+    if t_matrix is not None:
+        spectrum = np.linalg.svd(t_matrix, compute_uv=False)
+        sigma_min = float(spectrum[-1])
+        if spectrum[0] / sigma_min > tol.cond_warn:
+            _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}", 2)
+    # the operator's condition is reported ahead of the rank notes of the
+    # split made with it
+    for note in column_notes:
+        _note(note, 2)
+
     spectrum = np.linalg.svd(block_matrix, compute_uv=False)
     condition = float(spectrum[0] / spectrum[-1])
     if condition > tol.cond_warn:
         _note(f"change of basis has condition {condition:.3e}", 2)
     change_of_basis = np.linalg.inv(block_matrix)
 
-    sizes = [c.shape[1] for c in columns]
-    residual = _normal_form_residual(block_matrix, sizes, (e1, e2, e3), tol)
+    residual = _normal_form_residual(change_of_basis, sizes, system.subspaces, tol)
     if residual > tol.residual_tol:
         _note(f"normal-form residual {residual:.3e} exceeds residual_tol {tol.residual_tol:.3e}", 2)
 
@@ -409,15 +432,16 @@ def _atom_idempotent(
     return witness
 
 
-def _normal_form_residual(block_matrix, sizes, subspaces, tol):
-    """Worst gap between a subspace carried into block coordinates and its
-    normal-form target.
+def _normal_form_residual(change_of_basis, sizes, subspaces, tol):
+    """Worst gap between a subspace carried into block coordinates by the
+    change of basis C (the image C B_e of its basis) and its normal-form
+    target.
 
     sizes is the 10-block column layout (7 distributive pieces, q1, q2,
     outside).  Each target is a selection of coordinate columns; the third
     one also takes the diagonal directions (q1_j + q2_j) / sqrt(2).
     """
-    n = block_matrix.shape[0]
+    n = change_of_basis.shape[0]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     (common, pair_23, pair_13, pair_12, single_1, single_2, single_3, q1, q2, _) = (
         np.arange(starts[i], starts[i + 1]) for i in range(len(sizes))
@@ -433,7 +457,7 @@ def _normal_form_residual(block_matrix, sizes, subspaces, tol):
     )
     worst = 0.0
     for e, f in zip(subspaces, targets):
-        mapped = _column_span(np.linalg.solve(block_matrix, e.basis), tol)
+        mapped = _column_span(change_of_basis @ e.basis, tol)
         worst = max(worst, gap(Subspace(mapped), Subspace(f)))
     return float(worst)
 
@@ -542,11 +566,13 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     skeleton per system.
 
     The skeletons give both invariant vectors; only when they agree and
-    the ambient dimensions match are the skeletons assembled into changes
-    of basis, and the witness is a's change of basis composed with the
-    inverse of b's.  Notes from the skeletons reach the caller as
-    :class:`ConditioningWarning`; those from the assembly are collected for
-    this call alone and dropped with the discarded decompositions.
+    the ambient dimensions match are the skeletons built into changes of
+    basis (:func:`_change_of_basis_columns`), and the witness is a's change
+    of basis composed with the inverse of b's.  No normal-form residual or
+    condition number is computed here: the caller certifies the witness
+    itself (``verify_isomorphism``).  Notes from the skeletons reach the
+    caller as :class:`ConditioningWarning`; those from building the
+    changes of basis are collected for this call alone and dropped.
     """
     _require_arity_three(a)
     _require_arity_three(b)
@@ -556,9 +582,9 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     if a.ambient_dim != b.ambient_dim or invariants_a != invariants_b:
         return invariants_a, invariants_b, None
     with _collect_notes():
-        da = _assemble(a, pieces_a, tol)
-        db = _assemble(b, pieces_b, tol)
-    witness = np.linalg.solve(db.change_of_basis, da.change_of_basis)
+        block_a = _change_of_basis_columns(a, pieces_a, tol)[0]
+        block_b = _change_of_basis_columns(b, pieces_b, tol)[0]
+    witness = np.linalg.solve(np.linalg.inv(block_b), np.linalg.inv(block_a))
     return invariants_a, invariants_b, witness
 
 

@@ -32,6 +32,7 @@ input or violated preconditions.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -77,6 +78,9 @@ from .systems import (
 )
 
 ENV_PREFIX = "SUBSPACEKIT_"
+# numpy sizes an array in bytes by a signed pointer-sized integer.
+_COMPLEX_BYTES = np.dtype(np.complex128).itemsize
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 _TOL_KEYS = ("rank_rtol", "gap_tol", "residual_tol", "cond_warn")
 
 
@@ -293,26 +297,31 @@ def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
 def _parse_entry(value, where: str) -> complex:
     if isinstance(value, bool):
         raise _InputError(f"{where}: expected a number or [re, im] pair, got a boolean")
+    entry = None
     try:
         if isinstance(value, (int, float)):
-            return complex(value, 0.0)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
+            entry = complex(value, 0.0)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
             re, im = value
             ok = all(not isinstance(x, bool) and isinstance(x, (int, float)) for x in (re, im))
             if ok:
-                return complex(re, im)
+                entry = complex(re, im)
     except OverflowError:
         raise _InputError(
             f"{where}: expected a number or [re, im] pair, got an integer too large for a float"
         )
-    raise _InputError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if entry is None:
+        raise _InputError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(entry):
+        raise _InputError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
+    return entry
 
 
 def _bulk_vectors(vectors: list, ambient: int):
     """Spanning vectors as a (k, ambient) complex array, converted by one
     numpy call when every vector is a list of ``ambient`` entries that are
-    all numbers or all [re, im] pairs of numbers; None otherwise.  Numbers
-    are ``int`` and ``float`` only, so booleans are refused."""
+    all numbers or all [re, im] pairs of finite numbers; None otherwise.
+    Numbers are ``int`` and ``float`` only, so booleans are refused."""
     if not all(type(vector) is list and len(vector) == ambient for vector in vectors):
         return None
     try:
@@ -327,7 +336,7 @@ def _bulk_vectors(vectors: list, ambient: int):
         values = np.array(vectors, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if values.shape != shape:
+    if values.shape != shape or not np.isfinite(values).all():
         return None
     if len(shape) == 2:
         return values.astype(np.complex128)
@@ -337,7 +346,7 @@ def _bulk_vectors(vectors: list, ambient: int):
 def _parse_vectors(vectors: list, ambient: int, field: str) -> np.ndarray:
     """Spanning vectors as a (k, ambient) complex array.  Files that the
     bulk conversion refuses are walked entry by entry: that accepts vectors
-    mixing numbers and pairs, and names the first bad entry."""
+    mixing numbers and pairs, and names the first bad or non-finite entry."""
     bulk = _bulk_vectors(vectors, ambient)
     if bulk is not None:
         return bulk
@@ -358,6 +367,11 @@ def _system_from_payload(payload, tol: ToleranceConfig, where: str) -> SubspaceS
     ambient = payload.get("ambient_dim")
     if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 1:
         raise _InputError(f"{where}: 'ambient_dim' must be a positive integer")
+    if ambient * ambient * _COMPLEX_BYTES > _MAX_ARRAY_BYTES:
+        raise _InputError(
+            f"{where}: 'ambient_dim' {ambient} is too large: numpy cannot size "
+            f"a {ambient} x {ambient} complex matrix"
+        )
     entries = payload.get("subspaces")
     if not isinstance(entries, list) or not entries:
         raise _InputError(f"{where}: 'subspaces' must be a nonempty array")

@@ -175,11 +175,12 @@ class Subspace:
             raise ValueError("ambient dimension must be at least 1")
         if k > n:
             raise ValueError(f"{k} columns cannot be independent in ambient dimension {n}")
-        if not (np.all(np.isfinite(basis.real)) and np.all(np.isfinite(basis.imag))):
+        if not np.isfinite(basis).all():
             raise ValueError("basis entries must be finite")
         if k:
-            defect = np.abs(basis.conj().T @ basis - np.eye(k))
-            worst = float(defect.max())
+            defect = basis.conj().T @ basis
+            defect.flat[:: k + 1] -= 1.0
+            worst = float(np.abs(defect).max())
             if worst > ORTHONORMALITY_ATOL:
                 raise ValueError(
                     f"basis columns are not orthonormal (defect {worst:.3e}); "
@@ -328,12 +329,25 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
 
 
 def gap(a: Subspace, b: Subspace) -> float:
-    """Operator-norm distance between the orthogonal projections, in [0, 1]."""
+    """Operator-norm distance ||P_a - P_b|| between the orthogonal
+    projections, in [0, 1], read off the thin (n, k) residual
+
+        ||B_a - B_b (B_b^H B_a)|| = ||(I - P_b) P_a||.
+
+    For subspaces of equal dimension the two one-sided distances
+    ||(I - P_b) P_a|| and ||(I - P_a) P_b|| agree, and ||P_a - P_b|| is
+    their maximum, so the residual of a's basis alone gives the gap without
+    forming an n x n projection.  Subspaces of different dimension are at
+    gap exactly 1: the larger one holds a unit vector orthogonal to the
+    smaller one.
+    """
     _require_same_ambient(a, b)
-    if a.dim == 0 and b.dim == 0:
+    if a.dim != b.dim:
+        return 1.0
+    if a.dim == 0:
         return 0.0
-    value = float(np.linalg.norm(a.projection() - b.projection(), 2))
-    return min(value, 1.0)
+    residual = a.basis - b.basis @ (b.basis.conj().T @ a.basis)
+    return min(float(np.linalg.norm(residual, 2)), 1.0)
 
 
 def contains(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -210,6 +210,32 @@ class TestSkeletonChecks:
         assert count(lambda: brenner_decompose(system)) == 24
         assert count(lambda: verify_brenner(system, decomposition)) == 7
 
+    def test_certification_runs_once_per_decomposition(self, monkeypatch):
+        # the witness needs the changes of basis, not their residuals or
+        # condition numbers; the residual maps each subspace through the
+        # inverse already formed instead of solving with the block matrix
+        a, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        b, _ = compose_from_multiplicities(ALL_SLOTS, seed=4, cond_bound=4.0)
+        calls = {"svd": 0, "solve": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def count(run):
+            for name in calls:
+                calls[name] = 0
+            run()
+            return dict(calls)
+
+        assert count(lambda: brenner._invariants_and_witness(a, b, DEFAULT_TOL)) == {"svd": 38, "solve": 3}
+        assert count(lambda: brenner_decompose(a))["solve"] == 1
+        assert count(lambda: brenner_decompose(b))["solve"] == 1
+
     def test_lost_direction_of_first_inside_part(self, monkeypatch):
         # E1 ∩ (E2 + E3) comes out one dimension short
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)

@@ -360,6 +360,42 @@ class TestInputErrors:
             "or [re, im] pair, got an integer too large for a float\n"
         )
 
+    @pytest.mark.parametrize("text, entry, shown", [
+        ("[[1e400, 0], [0, 1]]", "[0][0]", "inf"),
+        ("[[1, 0], [0, -1e400]]", "[1][1]", "-inf"),
+        ("[[[1, 0], [0, 1e400]], [[0, 0], [1, 0]]]", "[0][1]", "[0, inf]"),
+        ("[[1, [NaN, 0]], [0, 1]]", "[0][1]", "[nan, 0]"),
+    ], ids=["real", "negative", "pair", "mixed-nan"])
+    def test_non_finite_entry_is_located(self, capsys, tmp_path, text, entry, shown):
+        # json reads 1e400 as infinity and accepts the NaN literal
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0]]}, '
+            f'{{"spanning_vectors": {text}}}, {{"spanning_vectors": []}}]}}'
+        )
+        for command in ("decompose", "analyze"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"error: {path}: subspaces[1].spanning_vectors{entry}: expected a finite "
+                f"number or [re, im] pair, got {shown}\n"
+            )
+
+    @pytest.mark.parametrize("ambient", [10**30, 10**12])
+    def test_unsizeable_ambient_dim_is_refused_at_load(self, capsys, tmp_path, monkeypatch, ambient):
+        # refused by arithmetic on the integer, before any array is built
+        path = write_system(tmp_path / "huge.json", ambient, [[], [], []])
+        monkeypatch.setattr(cli, "Subspace", None)
+        monkeypatch.setattr(cli, "orthonormalize", None)
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: 'ambient_dim' {ambient} is too large: numpy cannot size "
+            f"a {ambient} x {ambient} complex matrix\n"
+        )
+
     def test_oversized_integer_tolerance(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "tol.json", 2, [[[1, 0]], [], []], tolerances={"rank_rtol": 10**400}

@@ -59,6 +59,23 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(np.eye(3)[:2])  # 2x3: 3 columns in C^2
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        basis = np.eye(3, 2, dtype=np.complex128)
+        basis[2, 1] = bad
+        with pytest.raises(ValueError, match="basis entries must be finite"):
+            Subspace(basis)
+
+    def test_orthonormality_is_checked_on_the_diagonal_too(self):
+        basis = np.eye(3, 2, dtype=np.complex128)
+        basis[:, 1] *= 1.0 + 2e-8  # column norm off by 2e-8, Gram diagonal by 4e-8
+        with pytest.raises(ValueError, match=r"not orthonormal \(defect 4\.0\d*e-08\)"):
+            Subspace(basis)
+        basis = np.eye(3, 2, dtype=np.complex128)
+        basis[:, 1] *= 1.0 + 2e-9
+        kept = Subspace(basis)
+        assert np.array_equal(kept.basis, basis)
+
     def test_basis_is_frozen(self):
         s = Subspace.full(2)
         with pytest.raises(ValueError):
@@ -204,6 +221,31 @@ class TestMetrics:
         assert abs(gap(a, line(0, 1)) - 1.0) < 1e-12
         assert abs(gap(a, Subspace.zero(2)) - 1.0) < 1e-12
         assert gap(Subspace.zero(2), Subspace.zero(2)) == 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gap_is_the_projection_difference_norm(self, seed):
+        # thin residual against the n x n projection difference, on random
+        # pairs and on pairs a small perturbation apart
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(1, n + 1))
+        a = random_subspace(rng, n, k)
+        noise = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        for b in (random_subspace(rng, n, k), orthonormalize((a.basis + 1e-6 * noise).T)):
+            reference = np.linalg.norm(a.projection() - b.projection(), 2)
+            assert abs(gap(a, b) - reference) <= 1e-12
+            assert abs(gap(b, a) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_of_unequal_dimensions_is_exactly_one(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 31))
+        small, large = sorted(rng.choice(n + 1, size=2, replace=False))
+        a = random_subspace(rng, n, int(small))
+        b = random_subspace(rng, n, int(large))
+        inside = Subspace(b.basis[:, : int(small)])  # nested in b, still at gap 1
+        assert gap(a, b) == gap(b, a) == gap(inside, b) == 1.0
+        assert gap(Subspace.zero(n), Subspace.zero(n)) == 0.0
 
     def test_principal_angles_line_pair(self):
         theta = 0.3
