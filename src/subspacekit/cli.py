@@ -36,6 +36,7 @@ import cmath
 import json
 import os
 import sys
+from contextvars import ContextVar
 from itertools import chain
 
 import numpy as np
@@ -82,6 +83,9 @@ ENV_PREFIX = "SUBSPACEKIT_"
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 _TOL_KEYS = ("rank_rtol", "gap_tol", "residual_tol", "cond_warn")
+# (path, ambient_dim) of each system the running command has loaded, so that
+# numpy's refusal to allocate can be reported against the file.
+_LOADED: ContextVar = ContextVar("subspacekit_loaded", default=None)
 
 
 class _InputError(Exception):
@@ -409,7 +413,11 @@ def _load_system(path: str, overrides: dict):
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     tol = _merge_tolerances(payload, overrides, path)
-    return _system_from_payload(payload, tol, path), tol
+    system = _system_from_payload(payload, tol, path)
+    loaded = _LOADED.get()
+    if loaded is not None:
+        loaded.append((path, system.ambient_dim))
+    return system, tol
 
 
 def _angles_report(system: SubspaceSystem):
@@ -691,6 +699,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     fmt = "json"
+    loaded = []
+    token = _LOADED.set(loaded)
     try:
         overrides = _gather_overrides(args)
         fmt = overrides["fmt"]
@@ -698,9 +708,19 @@ def main(argv=None) -> int:
     except (_InputError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:  # numpy refused an array at once; nothing is held
+        if not loaded:
+            raise
+        path, ambient = max(loaded, key=lambda entry: entry[1])
+        sys.stderr.write(
+            f"error: {path}: 'ambient_dim' {ambient} is too large for this machine: {exc}\n"
+        )
+        return 2
     except ConditioningError as exc:
         sys.stderr.write(f"conditioning failure: {exc}\n")
         return 1
+    finally:
+        _LOADED.reset(token)
     _emit(report, fmt)
     return code
 

@@ -35,12 +35,12 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
+    _column_span,
     _meet_join,
     complement_within,
     contains,
     join,
     meet,
-    orthonormalize,
     principal_angles,
 )
 from .systems import SubspaceSystem, _require_arity_three, _stacked_rank, restrict_system
@@ -204,6 +204,13 @@ def example9_truncated(n: int) -> SubspaceSystem:
       * E2 is the graph of diag(a_1, ..., a_n);
       * E3 is E2 extended by (0, f) and (0, v), with f = (a_1, ..., a_n).
 
+    Each basis is built in closed form.  E1's is [K + 0 | (0, v/|v|)] and
+    E2's the graph basis (e_i, a_i e_i) / sqrt(1 + a_i^2), both exactly
+    orthonormal.  E3's is the graph basis followed by an orthonormal basis
+    of the 2n x 2 residual of (0, f) and (0, v) against it (projected twice,
+    rank decided by the shared rule); a rank other than 2 raises
+    :class:`ConditioningError`.
+
     At every finite n the triple fails the pentagon hypotheses (the graph
     meets E1 since v lies in the image of the diagonal map), which is the
     point: the configuration only becomes a pentagon in the limit.  Use
@@ -214,19 +221,31 @@ def example9_truncated(n: int) -> SubspaceSystem:
     weights = 1.0 / np.arange(1, n + 1)
     v = weights.copy()
     v[0] = 0.0
-    f = weights
 
-    flat_rows = [np.concatenate([row, np.zeros(n)]) for row in np.eye(n)]
-    e1 = orthonormalize(flat_rows + [np.concatenate([np.zeros(n), v])])
+    flat = np.zeros((2 * n, n + 1))
+    flat[:n, :n] = np.eye(n)
+    flat[n:, n] = v / np.linalg.norm(v)
 
-    graph_rows = [np.concatenate([row, weights[i] * row]) for i, row in enumerate(np.eye(n))]
-    e2 = orthonormalize(graph_rows)
-
-    e3 = orthonormalize(
-        graph_rows
-        + [np.concatenate([np.zeros(n), f]), np.concatenate([np.zeros(n), v])]
+    graph = _graph_basis(weights)
+    extra = np.zeros((2 * n, 2))  # (0, f) and (0, v), with f the weights
+    extra[n:] = np.column_stack([weights, v])
+    for _ in range(2):  # a second projection removes what the first left behind
+        extra -= graph @ (graph.T @ extra)
+    outside = _column_span(extra, DEFAULT_TOL)
+    if outside.shape[1] != 2:
+        raise ConditioningError(
+            f"(0, f) and (0, v) leave a residual of rank {outside.shape[1]}, not 2, "
+            "against the graph"
+        )
+    return SubspaceSystem.of(
+        Subspace(flat), Subspace(graph), Subspace(np.hstack([graph, outside]))
     )
-    return SubspaceSystem.of(e1, e2, e3)
+
+
+def _graph_basis(weights: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the graph of diag(weights) in C^(2n): the
+    columns (e_i, a_i e_i) / sqrt(1 + a_i^2)."""
+    return np.vstack([np.eye(weights.size), np.diag(weights)]) / np.sqrt(1.0 + weights**2)
 
 
 def diagonal_graph_pair(n: int):
@@ -239,9 +258,7 @@ def diagonal_graph_pair(n: int):
         raise ValueError("need at least one coordinate")
     weights = 1.0 / np.arange(1, n + 1)
     flat = Subspace(np.vstack([np.eye(n), np.zeros((n, n))]))
-    # the columns (e_i, a_i e_i) / sqrt(1 + a_i^2) are already orthonormal
-    graph = Subspace(np.vstack([np.eye(n), np.diag(weights)]) / np.sqrt(1.0 + weights**2))
-    return flat, graph
+    return flat, Subspace(_graph_basis(weights))
 
 
 def margin_sample_points(n: int):

@@ -396,6 +396,23 @@ class TestInputErrors:
             f"a {ambient} x {ambient} complex matrix\n"
         )
 
+    @pytest.mark.parametrize("command", ["decompose", "analyze", "isomorphic"])
+    @pytest.mark.parametrize("ambient", [759250124, 4 * 10**8])
+    def test_ambient_dim_numpy_refuses_is_located(self, capsys, tmp_path, command, ambient):
+        # numpy sizes these n x n matrices (8.00 and 2.22 EiB) but no address
+        # space holds them, so the allocation is refused at once
+        path = write_system(tmp_path / "huge.json", ambient, [[], [], []])
+        small = write_system(tmp_path / "small.json", 2, [[[1, 0]], [[0, 1]], [[1, 1]]])
+        files = [small, path] if command == "isomorphic" else [path]
+        code, out, err = run(capsys, command, *files)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: {path}: 'ambient_dim' {ambient} is too large for this machine: "
+            "Unable to allocate "
+        )
+        assert err.count("\n") == 1
+
     def test_oversized_integer_tolerance(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "tol.json", 2, [[[1, 0]], [], []], tolerances={"rank_rtol": 10**400}

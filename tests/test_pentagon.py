@@ -10,6 +10,7 @@ from subspacekit import (
     detect_pentagon,
     diagonal_graph_pair,
     example9_truncated,
+    gap,
     join,
     margin_sample_points,
     meet,
@@ -21,6 +22,24 @@ from subspacekit import (
 
 def line(*entries):
     return orthonormalize([list(entries)])
+
+
+def example9_by_orthonormalize(n):
+    """Reference route for :func:`example9_truncated`: each subspace from
+    the SVD of its raw spanning vectors."""
+    weights = 1.0 / np.arange(1, n + 1)
+    v = weights.copy()
+    v[0] = 0.0
+    f = weights
+    flat_rows = [np.concatenate([row, np.zeros(n)]) for row in np.eye(n)]
+    e1 = orthonormalize(flat_rows + [np.concatenate([np.zeros(n), v])])
+    graph_rows = [np.concatenate([row, weights[i] * row]) for i, row in enumerate(np.eye(n))]
+    e2 = orthonormalize(graph_rows)
+    e3 = orthonormalize(
+        graph_rows
+        + [np.concatenate([np.zeros(n), f]), np.concatenate([np.zeros(n), v])]
+    )
+    return SubspaceSystem.of(e1, e2, e3)
 
 
 def distributive_fixture():
@@ -116,6 +135,27 @@ class TestTruncatedExample:
         assert e2.dim < e3.dim
         assert meet(e2, e3).dim == e2.dim
         assert meet(e1, e2).dim == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+    def test_closed_form_matches_orthonormalize_route(self, n):
+        system, reference = example9_truncated(n), example9_by_orthonormalize(n)
+        assert system.dims() == reference.dims()
+        for built, expected in zip(system.subspaces, reference.subspaces):
+            assert gap(built, expected) <= 1e-12
+            assert gap(expected, built) <= 1e-12
+
+    def test_factorizes_only_the_two_column_residual(self, monkeypatch):
+        widths = {"svd": [], "qr": []}
+        for name in widths:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _widths=widths[name], **kwargs):
+                _widths.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert example9_truncated(200).dims() == (201, 200, 202)
+        assert widths == {"svd": [2], "qr": []}
 
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
