@@ -202,9 +202,9 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     violation is an unstable rank decision and raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
-    meet_12, join_12 = _meet_join(e1, e2, tol)
-    meet_13, join_13 = _meet_join(e1, e3, tol)
-    meet_23, join_23 = _meet_join(e2, e3, tol)
+    meet_12, join_12, _ = _meet_join(e1, e2, tol)
+    meet_13, join_13, _ = _meet_join(e1, e3, tol)
+    meet_23, join_23, _ = _meet_join(e2, e3, tol)
     common = meet(meet_12, e3, tol)
 
     pair_23 = _complement_in(meet_23, common, tol)
@@ -213,7 +213,7 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
 
     inside_1 = meet(e1, join_23, tol)
     inside_2 = meet(e2, join_13, tol)
-    inside_3, total = _meet_join(e3, join_12, tol)
+    inside_3, total, _ = _meet_join(e3, join_12, tol)
 
     single_1 = _complement_in(e1, inside_1, tol)
     single_2 = _complement_in(e2, inside_2, tol)
@@ -494,7 +494,7 @@ def verify_brenner(
 
     q = (d.triangle_1, d.triangle_2, d.triangle_3)
     dims_equal = q[0].dim == q[1].dim == q[2].dim
-    meets, joins = zip(*(_meet_join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))))
+    meets, joins, _ = zip(*(_meet_join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))))
     meet_dims = tuple(m.dim for m in meets)
     join_gaps = tuple(
         float(gap(joins[i], joins[j])) for i, j in ((0, 1), (1, 2), (2, 0))

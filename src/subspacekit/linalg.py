@@ -260,22 +260,24 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
 
 
 def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig, stacklevel=1):
-    """``(meet, join)`` of a pair from one SVD of [B_a | B_b] and one rank
-    decision: the join from the leading left singular vectors, the meet from
-    the null right ones, each a pair (x; y) with B_a x = -B_b y in both.
-    ``stacklevel`` places a note as in :func:`_numerical_rank`."""
+    """``(meet, join, factors)`` of a pair from one SVD of [B_a | B_b] and
+    one rank decision: the join from the leading left singular vectors, the
+    meet from the null right ones, each a pair (x; y) with B_a x = -B_b y in
+    both.  ``factors`` is the SVD's own ``(u, s, vh)``, whose ``s`` holds
+    the pair's principal angles; it is None when a side is zero, which
+    needs no SVD.  ``stacklevel`` places a note as in :func:`_numerical_rank`."""
     _require_same_ambient(a, b)
     n, k = a.ambient_dim, a.dim + b.dim
     if a.dim == 0 or b.dim == 0:  # an orthonormal basis decides its own rank
-        return Subspace.zero(n), b if a.dim == 0 else a
+        return Subspace.zero(n), b if a.dim == 0 else a, None
     u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=k > n)
     rank = _numerical_rank(s, tol, stacklevel=stacklevel + 1)
     joined = Subspace(u[:, :rank])
     if rank == k:
-        return Subspace.zero(n), joined
+        return Subspace.zero(n), joined, (u, s, vh)
     # Each orthonormal null pair has halves of norm exactly 1/sqrt(2).
     q, _ = np.linalg.qr(a.basis @ vh[rank:, : a.dim].conj().T * np.sqrt(2.0))
-    return Subspace(q), joined
+    return Subspace(q), joined, (u, s, vh)
 
 
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -369,6 +371,10 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     Returns min(dim a, dim b) values in [0, pi/2], ascending: the arccos of
     the singular values of B_a^H B_b, clipped into [0, 1].  Raises
     ValueError if either subspace is zero (no angle is defined there).
+
+    A cosine near 1 fixes its angle only to ~1e-8 absolute, so smaller
+    angles read as 0 or far off; ``halmos_decompose(a, b).angles`` reads
+    the generic angles off sines of half angles, accurate near 0 as well.
     """
     _require_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:

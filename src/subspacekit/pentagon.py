@@ -115,7 +115,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     e1, e2, e3 = system.subspaces
     n = system.ambient_dim
 
-    meet_12, span_12 = _meet_join(e1, e2, tol)
+    meet_12, span_12, _ = _meet_join(e1, e2, tol)
     if meet_12.dim != 0:
         raise ValueError(
             "hypothesis failure: the first and second subspaces have a nontrivial intersection"
@@ -164,7 +164,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     first_core = complement_within(e1, bridge, tol)
     third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
     _certify_independent((bridge, first_core, e2, third_outside), n, tol, "pentagon parts")
-    meet_core, carrier = _meet_join(first_core, third_core, tol)
+    meet_core, carrier, _ = _meet_join(first_core, third_core, tol)
     if meet_core.dim != 0:
         raise ConditioningError(
             "reduced first and third subspaces still intersect; conditioning is insufficient"

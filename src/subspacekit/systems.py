@@ -505,7 +505,7 @@ def detect_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEFAUL
         if s.dim == 0 or s.dim == n:
             return False
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        meet_ij, join_ij = _meet_join(system.subspaces[i], system.subspaces[j], tol)
+        meet_ij, join_ij, _ = _meet_join(system.subspaces[i], system.subspaces[j], tol)
         if meet_ij.dim != 0 or join_ij.dim != n:
             return False
     return True

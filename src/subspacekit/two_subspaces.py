@@ -17,6 +17,11 @@ complete invariant of the pair up to a simultaneous unitary.
 The representative returned here is one concrete choice (principal vector
 frames); any other differs from it by a block unitary mixing equal-angle
 directions, and by phases.
+
+All parts and angles come off the one SVD of [B_1 | B_2] that also gives
+the meet and join.  Its singular values sqrt(2) sin(t_i/2) keep small
+angles accurate (Bjorck and Golub, Math. Comp. 27, 1973), and each decides
+its part by one comparison.
 """
 
 from __future__ import annotations
@@ -31,11 +36,10 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     _column_span,
-    _require_same_ambient,
+    _meet_join,
+    _warn_near_cutoff,
     complement,
-    complement_within,
     join,
-    meet,
 )
 
 __all__ = [
@@ -48,7 +52,8 @@ __all__ = [
 ]
 
 # Angles closer than this to 0 or pi/2 are folded into the intersection
-# parts instead of being reported as generic.
+# parts instead of being reported as generic (the threshold widens to twice
+# the rank cutoff when a looser rank_rtol makes that larger).
 ANGLE_EPS = 1e-8
 
 
@@ -91,15 +96,6 @@ class SumOperatorReport:
     per_angle_determinants: np.ndarray
 
 
-def _adjoin(base: Subspace, extra: np.ndarray) -> Subspace:
-    # extra columns are orthonormal and orthogonal to base in exact
-    # arithmetic; a QR pass keeps rounding from accumulating.
-    if extra.shape[1] == 0:
-        return base
-    q, _ = np.linalg.qr(np.hstack([base.basis, extra]))
-    return Subspace(q)
-
-
 def polish_near_orthonormal(columns: np.ndarray) -> np.ndarray:
     """QR-polish columns that are orthonormal up to rounding, preserving
     each column's direction (QR is free to flip phases; undo that)."""
@@ -114,103 +110,87 @@ def polish_near_orthonormal(columns: np.ndarray) -> np.ndarray:
 def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> TwoSubspaceDecomposition:
     """Split C^n into the five canonical parts of the pair (first, second).
 
-    Raises :class:`ConditioningError` when the two candidate generic parts
-    disagree in dimension or the five parts fail to fill the space, both of
-    which signal rank decisions too close to the cutoff.
+    Every part and angle comes off the SVD of [B_1 | B_2] that also gives
+    the pair's meet and join.  Each singular value s reads as the angle
+    phi = 2 arcsin(s / sqrt(2)): a principal angle t where s^2 = 1 - cos t,
+    pi - t where s^2 = 1 + cos t, and pi/2 on the only-one parts.  Unlike
+    an arccos of a cosine, phi keeps small angles to full relative
+    accuracy.  One comparison of each phi with ``eps`` (``ANGLE_EPS``, or
+    twice the rank cutoff when that is wider) decides its part:
+
+    * phi <= eps: shared, ``in_both``;
+    * eps < phi < pi/2 - eps: a generic angle;
+    * |phi - pi/2| <= eps: the only-one cluster, split into ``only_first``
+      and ``only_second`` by the halves of its right singular vectors;
+    * phi > pi/2 + eps: the partner of a shared or generic value, counted.
+
+    ``in_neither`` is the complement of the left singular vectors of the
+    values that are not shared: the complement of the join, plus the
+    partners of the angles folded into ``in_both``.  Raises
+    :class:`ConditioningError` when the counts disagree or the only-one
+    cluster does not split cleanly at 0.5, both of which signal decisions
+    too close to ``eps``.
     """
-    _require_same_ambient(first, second)
-    n = first.ambient_dim
-    comp_first = complement(first)
-    comp_second = complement(second)
+    in_both, joined, factors = _meet_join(first, second, tol, stacklevel=2)
+    if factors is None:  # a zero side: the other one is all its own part
+        zero = Subspace.zero(first.ambient_dim)
+        return TwoSubspaceDecomposition(zero, first, second, complement(joined), zero, np.zeros(0), zero.basis)
 
-    in_both = meet(first, second, tol)
-    only_first = meet(first, comp_second, tol)
-    only_second = meet(comp_first, second, tol)
-    in_neither = meet(comp_first, comp_second, tol)
-
-    # Each adjoined pair lies in E2 and E2^⊥ (E1 and E1^⊥): no rank to decide.
-    left_first = complement_within(first, _adjoin(in_both, only_first.basis), tol)
-    left_second = complement_within(second, _adjoin(in_both, only_second.basis), tol)
-    if left_first.dim != left_second.dim:
+    u, s, vh = factors
+    p, k = first.dim, vh.shape[0]
+    phi = 2.0 * np.arcsin(np.minimum(np.pad(s, (0, k - s.size)) / np.sqrt(2.0), 1.0))
+    eps = max(ANGLE_EPS, 2.0 * tol.rank_rtol * float(s[0]))
+    _warn_near_cutoff(np.minimum(phi, np.abs(phi - np.pi / 2.0)), eps, stacklevel=3)
+    # phi descends, so the four classes are consecutive runs
+    plus = int(np.count_nonzero(phi > np.pi / 2.0 + eps))
+    right = int(np.count_nonzero(np.abs(phi - np.pi / 2.0) <= eps))
+    shared = int(np.count_nonzero(phi <= eps))
+    g = k - plus - right - shared
+    first_only = p - shared - g
+    if plus != shared + g or not 0 <= first_only <= right:
         raise ConditioningError(
-            f"generic parts disagree in dimension ({left_first.dim} vs {left_second.dim})"
+            f"pair spectrum has {plus} angles above pi/2 for {shared} shared and {g} generic, "
+            f"{right} at pi/2 for {first_only} only in the first; angle decisions were inconsistent"
         )
 
-    g = left_first.dim
-    if g == 0:
-        empty = np.zeros((n, 0), dtype=np.complex128)
-        _check_complete(n, in_both, only_first, only_second, in_neither, 0)
-        return TwoSubspaceDecomposition(
-            in_both, only_first, only_second, in_neither,
-            Subspace.zero(n), np.zeros(0), empty,
+    if shared > k - joined.dim:
+        # angles up to eps fold into the shared part; the rank rule kept
+        # their left singular vectors, the partners x - y, in the join
+        q, _ = np.linalg.qr(np.sqrt(2.0) * first.basis @ vh[k - shared:, :p].conj().T)
+        in_both = Subspace(q)
+    in_neither = complement(Subspace(u[:, : k - shared]))
+
+    # The cluster's a-halves have singular values 1 on only_first and 0 on
+    # only_second, and the b-halves of the rotated cluster vectors are
+    # orthogonal with norms sqrt(1 - sigma^2).
+    cluster = vh[plus : plus + right].conj().T
+    directions, sigma, rotation = np.linalg.svd(cluster[:p], full_matrices=True)
+    sigma = np.pad(sigma, (0, right - sigma.size))
+    kept, dropped = sigma[:first_only].min(initial=1.0), sigma[first_only:].max(initial=0.0)
+    if kept < 0.5 or dropped >= 0.5:
+        raise ConditioningError(
+            f"only-one parts do not split cleanly at 0.5 "
+            f"(singular values kept down to {kept:.3e}, dropped up to {dropped:.3e})"
         )
+    only_first = Subspace(first.basis @ directions[:, :first_only])
+    rest = cluster[p:] @ rotation[first_only:].conj().T / np.sqrt(1.0 - sigma[first_only:] ** 2)
+    only_second = Subspace(second.basis @ rest)
 
-    u, cosines, vh = np.linalg.svd(left_first.basis.conj().T @ left_second.basis)
-    x = left_first.basis @ u
-    y = left_second.basis @ vh.conj().T
-    cosines = np.clip(cosines, 0.0, 1.0)
-    theta = np.arccos(cosines)
-
-    # Endpoint angles mean the meet computations missed a direction by a
-    # hair; reclassify instead of reporting a degenerate generic angle.
-    at_zero = theta < ANGLE_EPS
-    at_right = theta > np.pi / 2.0 - ANGLE_EPS
-    interior = ~(at_zero | at_right)
-
-    in_both = _adjoin(in_both, x[:, at_zero])
-    only_first = _adjoin(only_first, x[:, at_right])
-    only_second = _adjoin(only_second, y[:, at_right])
-
-    x_gen = x[:, interior]
-    y_gen = y[:, interior]
-    theta = theta[interior]
-    c = cosines[interior]
-    s = np.sin(theta)
-
-    # z_i = (y_i - c_i x_i) / s_i completes each principal pair to an
-    # orthonormal 2-frame; re-orthogonalize against X once to stop rounding
-    # from leaking between the two halves.
-    z = (y_gen - x_gen * c) / s
-    z = z - x_gen @ (x_gen.conj().T @ z)
+    # From each right vector (w_1; w_2), x = sqrt(2) B_1 w_1 and its left
+    # vector u = (x - y) / (2 sin(t/2)) give the partner of x in E2's share
+    # without cancellation.  Near pi/2 the SVD mixes the 1 - cos t and
+    # 1 + cos t vectors of an angle, which moves the norm of each half but
+    # not its direction: polish X, and re-orthogonalize Z against X once.
+    generic = np.arange(plus + right, k - shared)[::-1]
+    angles = phi[generic]
+    x = polish_near_orthonormal(np.sqrt(2.0) * first.basis @ vh[generic, :p].conj().T)
+    z = (np.sin(angles / 2.0) * x - u[:, generic]) / np.cos(angles / 2.0)
+    z = z - x @ (x.conj().T @ z)
     z = polish_near_orthonormal(z)
-
-    # Each angle folded into in_both leaves behind its orthogonal partner
-    # direction, which belongs to neither subspace (up to the absorbed
-    # angle); recover those partners as the orthogonal completion.
-    absorbed_zero = int(np.count_nonzero(at_zero))
-    if absorbed_zero:
-        found = np.hstack([
-            in_both.basis, only_first.basis, only_second.basis,
-            in_neither.basis, x_gen, z,
-        ])
-        u_full, sing, _ = np.linalg.svd(found, full_matrices=True)
-        filled = found.shape[1]
-        if sing.size and sing[-1] < 0.5:
-            raise ConditioningError("canonical parts lost independence during absorption")
-        filler = u_full[:, filled:]
-        if filler.shape[1] != absorbed_zero:
-            raise ConditioningError(
-                f"absorption left {filler.shape[1]} unaccounted directions, expected {absorbed_zero}"
-            )
-        in_neither = _adjoin(in_neither, filler)
-
-    _check_complete(n, in_both, only_first, only_second, in_neither, int(theta.size))
-    frame = np.hstack([x_gen, z])
     return TwoSubspaceDecomposition(
         in_both, only_first, only_second, in_neither,
-        Subspace(x_gen),
-        theta,
-        frame,
+        Subspace(x), angles, np.hstack([x, z]),
     )
-
-
-def _check_complete(n, in_both, only_first, only_second, in_neither, g):
-    total = in_both.dim + only_first.dim + only_second.dim + in_neither.dim + 2 * g
-    if total != n:
-        raise ConditioningError(
-            f"canonical parts sum to {total}, ambient dimension is {n}; "
-            "rank decisions were inconsistent"
-        )
 
 
 def sum_operator_matrix(first: Subspace, second: Subspace, tol: ToleranceConfig = DEFAULT_TOL):

@@ -260,10 +260,10 @@ class TestSkeletonChecks:
         meet_join = brenner._meet_join
 
         def lossy(a, b, tol):
-            inside, total = meet_join(a, b, tol)
+            inside, total, factors = meet_join(a, b, tol)
             if a is e3 and all(b is not e for e in system.subspaces):
-                return inside, drop_last_direction(total)
-            return inside, total
+                return inside, drop_last_direction(total), factors
+            return inside, total, factors
 
         monkeypatch.setattr(brenner, "_meet_join", lossy)
         with pytest.raises(ConditioningError, match="modular law"):

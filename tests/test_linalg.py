@@ -11,6 +11,7 @@ from subspacekit import (
     complement_within,
     contains,
     gap,
+    halmos_decompose,
     join,
     meet,
     orthonormalize,
@@ -201,7 +202,8 @@ class TestLatticeOps:
         lambda: join(line(1, 0, 0), line(1, 3e-10, 0)),
         lambda: orthonormalize([[1.0, 0.0], [1.0, 3e-10]]),
         lambda: complement_within(orthonormalize([[1, 0, 0], [0, 1, 0]]), line(1, 0, 3e-10)),
-    ], ids=["meet", "join", "orthonormalize", "complement_within"])
+        lambda: halmos_decompose(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))),
+    ], ids=["meet", "join", "orthonormalize", "complement_within", "halmos_decompose"])
     def test_near_cutoff_warning_names_the_caller(self, call):
         with pytest.warns(ConditioningWarning) as record:
             call()

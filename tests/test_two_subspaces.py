@@ -7,9 +7,13 @@ from hypothesis import given, strategies as st
 from subspacekit import (
     ConditioningWarning,
     Subspace,
+    ToleranceConfig,
+    complement,
     gap,
     halmos_decompose,
+    haar_unitary,
     join,
+    meet,
     orthonormalize,
     principal_angles,
     restricted_sum_operator,
@@ -33,6 +37,28 @@ def pair_at_angles(angles, ambient=None):
         cols[i, i] = np.cos(t)
         cols[g + i, i] = np.sin(t)
     return first, Subspace(cols)
+
+
+def planted_pair(rng, angles, both=0, only_first=0, only_second=0, neither=0):
+    """A pair with the given part dimensions and generic angles, turned by
+    a Haar unitary and given random orthonormal bases of its own."""
+    g = len(angles)
+    n = both + only_first + only_second + neither + 2 * g
+    axes = np.eye(n, dtype=np.complex128)
+    cuts = np.cumsum([both, only_first, only_second, neither, g])
+    shared, a, b, _, x, z = np.split(axes, cuts, axis=1)
+    y = x * np.cos(angles) + z * np.sin(angles)
+    turn = haar_unitary(n, rng)
+    first = turn @ np.hstack([shared, a, x])
+    second = turn @ np.hstack([shared, b, y])
+    return (
+        Subspace(first @ haar_unitary(first.shape[1], rng)),
+        Subspace(second @ haar_unitary(second.shape[1], rng)),
+    )
+
+
+def part_dims(dec):
+    return (dec.in_both.dim, dec.only_first.dim, dec.only_second.dim, dec.in_neither.dim, dec.generic_dim)
 
 
 class TestFiveParts:
@@ -125,6 +151,77 @@ class TestEndpointAbsorption:
         assert dec.only_first.dim == 1
         assert dec.only_second.dim == 1
         assert dec.generic_dim == 0
+
+
+class TestOneSpectrum:
+    """Every part and angle is read off the one SVD of [B_1 | B_2]."""
+
+    def test_small_angles_keep_their_relative_accuracy(self):
+        # sines of half angles keep the relative accuracy that the arccos of
+        # a cosine loses near 0 (two percent at 1e-7)
+        small = np.array([1e-7, 1e-5, 1e-3])
+        planted = np.concatenate([small, np.pi / 2 - small])
+        first, second = planted_pair(np.random.default_rng(1), planted, 1, 1, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            dec = halmos_decompose(first, second)
+        assert part_dims(dec) == (1, 1, 1, 1, 6)
+        assert np.allclose(dec.angles[:3], small, rtol=1e-6, atol=0.0)
+        assert np.allclose(np.pi / 2 - dec.angles[3:], small[::-1], rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_angle_below_eps_folds_into_in_both(self, seed):
+        # a cosine cannot tell 3e-9 from a generic 1.5e-8; its half-angle
+        # sine folds it into in_both
+        small = np.array([3e-9, 1e-7, 1e-5, 1e-3])
+        planted = np.concatenate([small, np.pi / 2 - small[1:]])
+        first, second = planted_pair(np.random.default_rng(seed), planted, 1, 1, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            dec = halmos_decompose(first, second)
+        assert part_dims(dec) == (2, 1, 1, 2, 6)
+        assert np.allclose(dec.angles[:3], small[1:], rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("angle, dims", [
+        (1e-7, (1, 0, 0, 1, 0)),
+        (np.pi / 2 - 1e-7, (0, 1, 1, 0, 0)),
+    ])
+    def test_loose_rank_rtol_folds_the_angle(self, angle, dims):
+        # the fold threshold widens with a looser rank cutoff: the line at
+        # 0 is shared, the line at pi/2 splits into the only-one parts
+        loose = ToleranceConfig(rank_rtol=1e-6)
+        dec = halmos_decompose(line(1.0, 0.0), line(np.cos(angle), np.sin(angle)), loose)
+        assert part_dims(dec) == dims
+
+    def test_factorizations_per_call(self, monkeypatch):
+        # the pair SVD, the complement of the join and the split of the
+        # only-one cluster
+        first, second = planted_pair(np.random.default_rng(3), np.array([0.3, 0.9]), 1, 1, 2, 1)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        dec = halmos_decompose(first, second)
+        assert part_dims(dec) == (1, 1, 2, 1, 2)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_parts_are_the_lattice_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 4, size=4)]
+        angles = np.sort(rng.uniform(0.05, np.pi / 2 - 0.05, size=int(rng.integers(1, 4))))
+        first, second = planted_pair(rng, angles, *dims)
+        dec = halmos_decompose(first, second)
+        lattice = (
+            meet(first, second),
+            meet(first, complement(second)),
+            meet(complement(first), second),
+            meet(complement(first), complement(second)),
+        )
+        parts = (dec.in_both, dec.only_first, dec.only_second, dec.in_neither)
+        assert [p.dim for p in parts] == dims
+        for part, expected in zip(parts, lattice):
+            assert gap(part, expected) <= 1e-12
+        assert np.allclose(dec.angles, angles, rtol=1e-10, atol=0.0)
 
 
 class TestSumOperator:
