@@ -20,7 +20,9 @@ The constructive split works inside the sum E1 + E2.  Writing T for the
 restriction of P1 + P2 to that sum (invertible there), the maps
 A_i = P_i T^{-1} give a pair of complementary oblique projections; applied
 to the residual part of E3 inside E1 + E2 they produce the two partner
-line-families of the double-triangle blocks.  The change of basis is then
+line-families of the double-triangle blocks.  T is the Gram operator of
+[B_1 | B_2], diagonalized by the SVD that gives the meet and join of E1 and
+E2; the split is that SVD's pseudo-inverse.  The change of basis is then
 read off one block at a time.
 """
 
@@ -197,12 +199,13 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     """All intersection-determined pieces of the decomposition.
 
     Returns a dict with the seven distributive pieces, the third triangle
-    family, the outside part and ``join_12`` = E1 + E2.  Its dimensions
-    must obey the modular law, checked at no factorization cost; a
-    violation is an unstable rank decision and raises :class:`ConditioningError`.
+    family, the outside part, ``join_12`` = E1 + E2 and ``factors_12``, the
+    SVD of (E1, E2) from ``_meet_join``.  Its dimensions must obey the
+    modular law, checked at no factorization cost; a violation is an
+    unstable rank decision and raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
-    meet_12, join_12, _ = _meet_join(e1, e2, tol)
+    meet_12, join_12, factors_12 = _meet_join(e1, e2, tol)
     meet_13, join_13, _ = _meet_join(e1, e3, tol)
     meet_23, join_23, _ = _meet_join(e2, e3, tol)
     common = meet(meet_12, e3, tol)
@@ -255,6 +258,7 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "triangle_3": triangle_3,
         "outside": outside,
         "join_12": join_12,
+        "factors_12": factors_12,
     }
 
 
@@ -312,18 +316,15 @@ def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfi
     split of the triangle part, the independence checks on the blocks and
     the matrix whose columns are the blocks' bases in slot order.
 
-    Returns ``(block_matrix, sizes, t_matrix, triangle_1, triangle_2)``:
-    ``sizes`` is the ten-block column layout and ``t_matrix`` the
-    restricted sum operator the split inverted (None when there is no
-    triangle part).  Its notes go through ``_note``; the caller decides where they
-    are collected."""
+    Returns ``(block_matrix, sizes, triangle_1, triangle_2)``: ``sizes`` is
+    the ten-block column layout.  Its notes go through ``_note``; the
+    caller decides where they are collected."""
     e1, e2, _ = system.subspaces
     n = system.ambient_dim
     triangle_3 = pieces["triangle_3"]
 
-    t_matrix = None
     if triangle_3.dim:
-        q1_vectors, q2_vectors, t_matrix = _oblique_split(e1, e2, pieces["join_12"].basis, triangle_3.basis)
+        q1_vectors, q2_vectors = _oblique_split(e1, pieces["factors_12"], pieces["join_12"].dim, triangle_3.basis)
         triangle_1 = _part_span(q1_vectors, tol, "first triangle family")
         triangle_2 = _part_span(q2_vectors, tol, "second triangle family")
     else:  # no triangle part: every triangle piece is zero
@@ -345,21 +346,22 @@ def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfi
     # the diagonal pairs of coordinates.
     columns = [b.basis for b in blocks[:7]] + [q1_vectors, q2_vectors, pieces["outside"].basis]
     sizes = [c.shape[1] for c in columns]
-    return np.hstack(columns), sizes, t_matrix, triangle_1, triangle_2
+    return np.hstack(columns), sizes, triangle_1, triangle_2
 
 
 def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
     """Everything after the skeleton: the change of basis of
     :func:`_change_of_basis_columns`, certified by the conditioning of the
-    restricted sum operator and of the change of basis, and by the
-    normal-form residual.  Its notes go through ``_note`` in the order the
-    decisions were made; the caller decides where they are collected."""
+    restricted sum operator (the squared kept singular values of the SVD
+    of (E1, E2)) and of the change of basis, and by the normal-form
+    residual.  Its notes go through ``_note`` in the order the decisions
+    were made; the caller decides where they are collected."""
     with _collect_notes() as column_notes:
-        block_matrix, sizes, t_matrix, triangle_1, triangle_2 = _change_of_basis_columns(system, pieces, tol)
+        block_matrix, sizes, triangle_1, triangle_2 = _change_of_basis_columns(system, pieces, tol)
 
     sigma_min = None
-    if t_matrix is not None:
-        spectrum = np.linalg.svd(t_matrix, compute_uv=False)
+    if pieces["triangle_3"].dim:
+        spectrum = pieces["factors_12"][1][: pieces["join_12"].dim] ** 2
         sigma_min = float(spectrum[-1])
         if spectrum[0] / sigma_min > tol.cond_warn:
             _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}", 2)
@@ -568,8 +570,9 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     The skeletons give both invariant vectors; only when they agree and
     the ambient dimensions match are the skeletons built into changes of
     basis (:func:`_change_of_basis_columns`), and the witness is a's change
-    of basis composed with the inverse of b's.  No normal-form residual or
-    condition number is computed here: the caller certifies the witness
+    of basis composed with the inverse of b's, C_b^-1 C_a = B_b B_a^-1 for
+    the block matrices B = C^-1.  No normal-form residual or condition
+    number is computed here: the caller certifies the witness
     itself (``verify_isomorphism``).  Notes from the skeletons reach the
     caller as :class:`ConditioningWarning`; those from building the
     changes of basis are collected for this call alone and dropped.
@@ -584,7 +587,7 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     with _collect_notes():
         block_a = _change_of_basis_columns(a, pieces_a, tol)[0]
         block_b = _change_of_basis_columns(b, pieces_b, tol)[0]
-    witness = np.linalg.solve(np.linalg.inv(block_b), np.linalg.inv(block_a))
+    witness = block_b @ np.linalg.inv(block_a)
     return invariants_a, invariants_b, witness
 
 

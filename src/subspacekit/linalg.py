@@ -132,15 +132,14 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
     return int(np.count_nonzero(s > cutoff))
 
 
-def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int):
-    """Conditioning note for singular values within a decade of ``cutoff``."""
+def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int,
+                      values="singular value(s)", threshold="the rank cutoff", decision="rank"):
+    """Conditioning note for ``values`` within a decade of ``cutoff``, the
+    ``threshold`` of a ``decision``."""
     near = int(np.count_nonzero((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     if near:
-        _note(
-            f"{near} singular value(s) within a decade of the rank cutoff {cutoff:.3e}; "
-            "rank decision is fragile",
-            stacklevel,
-        )
+        _note(f"{near} {values} within a decade of {threshold} {cutoff:.3e}; {decision} decision is fragile",
+              stacklevel)
 
 
 def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=1) -> np.ndarray:

@@ -115,7 +115,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     e1, e2, e3 = system.subspaces
     n = system.ambient_dim
 
-    meet_12, span_12, _ = _meet_join(e1, e2, tol)
+    meet_12, span_12, factors_12 = _meet_join(e1, e2, tol)
     if meet_12.dim != 0:
         raise ValueError(
             "hypothesis failure: the first and second subspaces have a nontrivial intersection"
@@ -131,13 +131,10 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     third_outside = complement_within(e3, inside, tol)
     quotient = complement_within(inside, e2, tol)  # e2 sits inside both e3 and span_12
     u = quotient.basis
-    m = u.shape[1]
-
-    if m:
-        v, w, _ = _oblique_split(e1, e2, span_12.basis, u)
-    else:
-        v = np.zeros((n, 0), dtype=np.complex128)
-        w = np.zeros((n, 0), dtype=np.complex128)
+    if u.shape[1] and factors_12 is not None:
+        v, w = _oblique_split(e1, factors_12, span_12.dim, u)
+    else:  # no witness, or E2 = 0: each witness lies in E1
+        v, w = u, np.zeros_like(u)
 
     bridge = _part_span(v, tol, "bridge")
 

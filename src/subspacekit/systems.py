@@ -273,16 +273,6 @@ def _eigenvalue_clusters(values: np.ndarray, resolution: float):
     return clusters
 
 
-def _is_endomorphism(x: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig) -> bool:
-    for s in system.subspaces:
-        if s.dim == 0 or s.dim == system.ambient_dim:
-            continue
-        leakage = complement(s).basis.conj().T @ x @ s.basis
-        if leakage.size and np.linalg.norm(leakage, 2) > tol.residual_tol:
-            return False
-    return True
-
-
 def find_nontrivial_idempotent(
     system: SubspaceSystem,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -342,25 +332,34 @@ def _search_idempotent(
     return None
 
 
+def _idempotent_defect(p: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig) -> Optional[str]:
+    """The first test of idempotency, nontriviality and the endomorphism
+    property (no leakage ||p B - B B^H p B|| off any subspace with basis B)
+    that ``p`` fails, as its message, or None when it passes them all."""
+    n = system.ambient_dim
+    if np.linalg.norm(p @ p - p, 2) > tol.residual_tol:
+        return "witness map is not idempotent within tolerance"
+    if np.linalg.norm(p, 2) <= tol.residual_tol or np.linalg.norm(p - np.eye(n), 2) <= tol.residual_tol:
+        return "witness map is trivial (zero or identity)"
+    for s in system.subspaces:
+        if 0 < s.dim < n:
+            image = p @ s.basis
+            if np.linalg.norm(image - s.basis @ (s.basis.conj().T @ image), 2) > tol.residual_tol:
+                return "witness map is not an endomorphism of the system"
+    return None
+
+
 def _accept_idempotent(
     candidate: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
 ) -> Optional[IdempotentWitness]:
-    """The witness for a candidate map, or None unless it is idempotent,
-    neither zero nor the identity, an endomorphism of the system, and its
-    image and kernel fill the ambient space.  Every candidate, however it
-    was produced, passes through here."""
+    """The witness for a candidate map, or None unless it passes
+    :func:`_idempotent_defect` and its image and kernel fill the ambient
+    space.  Every candidate, however it was produced, passes through here."""
+    if _idempotent_defect(candidate, system, tol) is not None:
+        return None
     n = system.ambient_dim
-    identity = np.eye(n)
-    if np.linalg.norm(candidate @ candidate - candidate, 2) > tol.residual_tol:
-        return None
-    if np.linalg.norm(candidate, 2) <= tol.residual_tol:
-        return None
-    if np.linalg.norm(candidate - identity, 2) <= tol.residual_tol:
-        return None
-    if not _is_endomorphism(candidate, system, tol):
-        return None
     image = _column_span(candidate, tol)
-    kernel_side = _column_span(identity - candidate, tol)
+    kernel_side = _column_span(np.eye(n) - candidate, tol)
     if image.shape[1] + kernel_side.shape[1] != n:
         return None
     return IdempotentWitness(map=candidate, split=(Subspace(image), Subspace(kernel_side)))
@@ -385,13 +384,9 @@ def split_by_idempotent(
     n = system.ambient_dim
     if p.shape != (n, n):
         raise ValueError(f"witness map must be {n}x{n}, got {p.shape}")
-    if np.linalg.norm(p @ p - p, 2) > tol.residual_tol:
-        raise ValueError("witness map is not idempotent within tolerance")
-    identity = np.eye(n)
-    if np.linalg.norm(p, 2) <= tol.residual_tol or np.linalg.norm(p - identity, 2) <= tol.residual_tol:
-        raise ValueError("witness map is trivial (zero or identity)")
-    if not _is_endomorphism(p, system, tol):
-        raise ValueError("witness map is not an endomorphism of the system")
+    defect = _idempotent_defect(p, system, tol)
+    if defect is not None:
+        raise ValueError(defect)
 
     h1, h2 = witness.split
     if h1.ambient_dim != n or h2.ambient_dim != n:

@@ -18,10 +18,12 @@ The representative returned here is one concrete choice (principal vector
 frames); any other differs from it by a block unitary mixing equal-angle
 directions, and by phases.
 
-All parts and angles come off the one SVD of [B_1 | B_2] that also gives
-the meet and join.  Its singular values sqrt(2) sin(t_i/2) keep small
+All parts and angles come off the one SVD [B_1 | B_2] = U S V^H that also
+gives the meet and join.  Its singular values sqrt(2) sin(t_i/2) keep small
 angles accurate (Bjorck and Golub, Math. Comp. 27, 1973), and each decides
-its part by one comparison.
+its part by one comparison.  It also diagonalizes the restricted sum
+operator T = P1 + P2 on E1 + E2, the Gram operator U_r S_r^2 U_r^H of
+[B_1 | B_2] over the join rank r, whose pseudo-inverse splits E1 + E2.
 """
 
 from __future__ import annotations
@@ -131,7 +133,12 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
     cluster does not split cleanly at 0.5, both of which signal decisions
     too close to ``eps``.
     """
-    in_both, joined, factors = _meet_join(first, second, tol, stacklevel=2)
+    return _halmos_parts(first, second, _meet_join(first, second, tol, stacklevel=2), tol)
+
+
+def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceConfig) -> TwoSubspaceDecomposition:
+    """:func:`halmos_decompose` on the pair's ``_meet_join`` result."""
+    in_both, joined, factors = meet_join
     if factors is None:  # a zero side: the other one is all its own part
         zero = Subspace.zero(first.ambient_dim)
         return TwoSubspaceDecomposition(zero, first, second, complement(joined), zero, np.zeros(0), zero.basis)
@@ -140,7 +147,8 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
     p, k = first.dim, vh.shape[0]
     phi = 2.0 * np.arcsin(np.minimum(np.pad(s, (0, k - s.size)) / np.sqrt(2.0), 1.0))
     eps = max(ANGLE_EPS, 2.0 * tol.rank_rtol * float(s[0]))
-    _warn_near_cutoff(np.minimum(phi, np.abs(phi - np.pi / 2.0)), eps, stacklevel=3)
+    distance = np.minimum(phi, np.abs(phi - np.pi / 2.0))
+    _warn_near_cutoff(distance, eps, 4, "angle(s) from 0 or pi/2", "the angle threshold", "part")
     # phi descends, so the four classes are consecutive runs
     plus = int(np.count_nonzero(phi > np.pi / 2.0 + eps))
     right = int(np.count_nonzero(np.abs(phi - np.pi / 2.0) <= eps))
@@ -208,21 +216,19 @@ def sum_operator_matrix(first: Subspace, second: Subspace, tol: ToleranceConfig 
 
 
 def _sum_operator_on(first: Subspace, second: Subspace, frame: np.ndarray) -> np.ndarray:
-    """Matrix of P1 + P2 in the orthonormal ``frame`` of first + second."""
-    c1 = frame.conj().T @ first.basis
-    c2 = frame.conj().T @ second.basis
-    return c1 @ c1.conj().T + c2 @ c2.conj().T
+    """Matrix of P1 + P2 = [B_1 | B_2] [B_1 | B_2]^H in the orthonormal ``frame`` of first + second."""
+    c = frame.conj().T @ np.hstack([first.basis, second.basis])
+    return c @ c.conj().T
 
 
-def _oblique_split(first: Subspace, second: Subspace, frame: np.ndarray, vectors: np.ndarray):
-    """Oblique split u = v + w of columns u of first + second, v in first
-    and w in second, through the inverse of the restricted sum operator on
-    the caller's orthonormal ``frame`` of first + second.  Returns
-    ``(v, w, matrix)`` with the operator's matrix in that frame."""
-    matrix = _sum_operator_on(first, second, frame)
-    lifted = frame @ np.linalg.solve(matrix, frame.conj().T @ vectors)
-    v = first.basis @ (first.basis.conj().T @ lifted)
-    return v, vectors - v, matrix
+def _oblique_split(first: Subspace, factors, rank: int, vectors: np.ndarray):
+    """Oblique split ``(v, w)`` of columns x = v + w of first + second, v in
+    first and w in second: the ``_meet_join`` factors of [B_1 | B_2] over
+    the join ``rank`` lift x to coefficients V_r S_r^-1 U_r^H x."""
+    u, s, vh = factors
+    coeff = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ vectors) / s[:rank, None])
+    v = first.basis @ coeff[: first.dim]
+    return v, vectors - v
 
 
 def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
@@ -240,21 +246,20 @@ def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceCon
     The eigenvalues of the restricted operator are 2 on in_both, 1 on the
     only-one parts, and 1 +- cos(t_i) over each generic angle.  With no
     shared part, sigma_min equals 1 - cos of the smallest angle: it decays
-    exactly as the pair approaches a missed intersection.
+    exactly as the pair approaches a missed intersection.  The spectrum
+    and the parts come off the one SVD of [B_1 | B_2].
     """
-    _, matrix = sum_operator_matrix(first, second, tol)
-    spectrum = np.linalg.svd(matrix, compute_uv=False)
-    sigma_max = float(spectrum[0])
-    sigma_min = float(spectrum[-1])
-    condition = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
+    meet_join = _meet_join(first, second, tol, stacklevel=2)
+    _, joined, factors = meet_join
+    if joined.dim == 0:
+        raise ValueError("the restricted sum operator needs a nonzero sum")
+    # a zero side leaves the identity; kept values clear the cutoff, so sigma_min > 0
+    spectrum = np.ones(1) if factors is None else factors[1][: joined.dim] ** 2
+    sigma_max, sigma_min = float(spectrum[0]), float(spectrum[-1])
 
-    parts = halmos_decompose(first, second, tol)
+    parts = _halmos_parts(first, second, meet_join, tol)
     g = parts.generic_dim
-    dets = np.zeros(g)
-    if g:
-        p_sum = first.projection() + second.projection()
-        for i in range(g):
-            pair = parts.generic_frame[:, [i, g + i]]
-            block = pair.conj().T @ p_sum @ pair
-            dets[i] = float(np.linalg.det(block).real)
-    return SumOperatorReport(sigma_min, sigma_max, condition, parts.angles.copy(), dets)
+    blocks = _sum_operator_on(first, second, parts.generic_frame)
+    diagonal = np.diagonal(blocks).real
+    dets = diagonal[:g] * diagonal[g:] - np.abs(np.diagonal(blocks, g)) ** 2
+    return SumOperatorReport(sigma_min, sigma_max, sigma_max / sigma_min, parts.angles.copy(), dets)

@@ -34,6 +34,7 @@ from subspacekit import (
     restrict_system,
     same_subspace,
     systems,
+    two_subspaces,
     verify_brenner,
     verify_isomorphism,
 )
@@ -194,7 +195,7 @@ class TestSkeletonChecks:
 
     def test_factorizations_per_call(self, monkeypatch):
         # one SVD per pair for both its meet and its join, and the oblique
-        # split reuses the skeleton's E1 + E2
+        # split and the restricted sum operator reuse the SVD of (E1, E2)
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
         decomposition = brenner_decompose(system)
         calls = []
@@ -207,16 +208,18 @@ class TestSkeletonChecks:
             return len(calls)
 
         assert count(lambda: brenner_invariants(system)) == 16
-        assert count(lambda: brenner_decompose(system)) == 24
+        assert count(lambda: brenner_decompose(system)) == 23
         assert count(lambda: verify_brenner(system, decomposition)) == 7
 
     def test_certification_runs_once_per_decomposition(self, monkeypatch):
         # the witness needs the changes of basis, not their residuals or
         # condition numbers; the residual maps each subspace through the
-        # inverse already formed instead of solving with the block matrix
+        # inverse already formed instead of solving with the block matrix,
+        # the oblique split lifts by the pair's SVD and the witness inverts
+        # one block matrix
         a, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
         b, _ = compose_from_multiplicities(ALL_SLOTS, seed=4, cond_bound=4.0)
-        calls = {"svd": 0, "solve": 0}
+        calls = {"svd": 0, "solve": 0, "inv": 0}
         for name in calls:
             original = getattr(np.linalg, name)
 
@@ -232,9 +235,9 @@ class TestSkeletonChecks:
             run()
             return dict(calls)
 
-        assert count(lambda: brenner._invariants_and_witness(a, b, DEFAULT_TOL)) == {"svd": 38, "solve": 3}
-        assert count(lambda: brenner_decompose(a))["solve"] == 1
-        assert count(lambda: brenner_decompose(b))["solve"] == 1
+        assert count(lambda: brenner._invariants_and_witness(a, b, DEFAULT_TOL)) == {"svd": 38, "solve": 0, "inv": 1}
+        assert count(lambda: brenner_decompose(a))["solve"] == 0
+        assert count(lambda: brenner_decompose(b))["solve"] == 0
 
     def test_lost_direction_of_first_inside_part(self, monkeypatch):
         # E1 ∩ (E2 + E3) comes out one dimension short
@@ -296,6 +299,34 @@ class TestSkeletonChecks:
         assert (passed and d.residual <= 1e-8) or d.trusted is False
 
 
+def oblique_split_by_solve(first, second, frame, vectors):
+    """Reference route for ``two_subspaces._oblique_split``: the matrix T
+    of P1 + P2 in an orthonormal ``frame`` of first + second, and the lift
+    frame T^-1 frame^H u projected onto first."""
+    c1, c2 = frame.conj().T @ first.basis, frame.conj().T @ second.basis
+    t = c1 @ c1.conj().T + c2 @ c2.conj().T
+    lifted = frame @ np.linalg.solve(t, frame.conj().T @ vectors)
+    v = first.basis @ (first.basis.conj().T @ lifted)
+    return v, vectors - v
+
+
+class TestObliqueSplit:
+    def test_agrees_with_the_solve_route_on_corpus(self, corpus):
+        split = 0
+        for *_, system in corpus:
+            pieces = brenner._skeleton(system, DEFAULT_TOL)
+            if not pieces["triangle_3"].dim:
+                continue
+            e1, e2, _ = system.subspaces
+            u = pieces["triangle_3"].basis
+            v, w = two_subspaces._oblique_split(e1, pieces["factors_12"], pieces["join_12"].dim, u)
+            v_ref, w_ref = oblique_split_by_solve(e1, e2, pieces["join_12"].basis, u)
+            assert np.linalg.norm(v - v_ref, 2) <= 1e-10 * np.linalg.norm(v_ref, 2)
+            assert np.linalg.norm(w - w_ref, 2) <= 1e-10 * np.linalg.norm(w_ref, 2)
+            split += 1
+        assert split > 50
+
+
 def decomposition_outcome(system):
     """What a caller reads off one decomposition: its notes and trust, or
     the refusal."""
@@ -307,7 +338,7 @@ def decomposition_outcome(system):
 
 
 class TestConditioningNotes:
-    @pytest.mark.parametrize("max_cond, index", [(1e9, 3), (1e9, 123), (1e10, 37)])
+    @pytest.mark.parametrize("max_cond, index", [(1e9, 3), (1e10, 37)])
     def test_residual_over_tolerance_is_untrusted(self, max_cond, index):
         # no rank decision near its cutoff and no large condition number,
         # yet the normal-form residual misses residual_tol
@@ -319,6 +350,18 @@ class TestConditioningNotes:
         assert d.warnings[-1] == (
             f"normal-form residual {d.residual:.3e} exceeds residual_tol 1.000e-08"
         )
+
+    def test_residual_within_tolerance_is_trusted(self):
+        # entry 123 at scramble condition up to 1e9: lifted by the pair's
+        # SVD instead of a solve with its Gram matrix, the triangle split
+        # meets residual_tol (the Gram route read 7.6e-8)
+        vector, seed, cond = corpus_spec(max_cond=1e9)[123]
+        system, _ = compose_from_multiplicities(vector, seed, cond)
+        d = brenner_decompose(system)
+        assert d.residual <= DEFAULT_TOL.residual_tol
+        assert d.trusted is True
+        assert d.invariants == vector
+        assert verify_brenner(system, d).passed
 
     def test_threads_keep_their_own_notes(self):
         # many of these systems carry notes and a few are refused; a
@@ -446,13 +489,19 @@ class TestIsomorphism:
         assert len(calls) == 2
 
     def test_witness_equals_composed_changes_of_basis(self, corpus):
+        # C_b^-1 C_a is B_b B_a^-1 for the block matrices B = C^-1
         for vector, seed, cond, a in corpus[:40]:
             b, _ = compose_from_multiplicities(vector, seed + 1, cond)
             witness = isomorphism_between(a, b)
-            expected = np.linalg.solve(
+            block_a, block_b = (
+                brenner._change_of_basis_columns(s, brenner._skeleton(s, DEFAULT_TOL), DEFAULT_TOL)[0]
+                for s in (a, b)
+            )
+            assert np.array_equal(witness, block_b @ np.linalg.inv(block_a))
+            composed = np.linalg.solve(
                 brenner_decompose(b).change_of_basis, brenner_decompose(a).change_of_basis
             )
-            assert np.array_equal(witness, expected)
+            assert np.linalg.norm(witness - composed, 2) <= 1e-12 * np.linalg.norm(composed, 2)
 
 
 @given(seed=st.integers(0, 10**5))

@@ -16,6 +16,7 @@ from subspacekit import (
     meet,
     orthonormalize,
     principal_angles,
+    restricted_sum_operator,
     same_subspace,
 )
 from conftest import random_subspace
@@ -203,7 +204,8 @@ class TestLatticeOps:
         lambda: orthonormalize([[1.0, 0.0], [1.0, 3e-10]]),
         lambda: complement_within(orthonormalize([[1, 0, 0], [0, 1, 0]]), line(1, 0, 3e-10)),
         lambda: halmos_decompose(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))),
-    ], ids=["meet", "join", "orthonormalize", "complement_within", "halmos_decompose"])
+        lambda: restricted_sum_operator(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))),
+    ], ids=["meet", "join", "orthonormalize", "complement_within", "halmos_decompose", "restricted_sum_operator"])
     def test_near_cutoff_warning_names_the_caller(self, call):
         with pytest.warns(ConditioningWarning) as record:
             call()

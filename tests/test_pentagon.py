@@ -115,6 +115,26 @@ class TestPentagonSplit:
         with pytest.raises(ValueError):
             pentagon_split(SubspaceSystem.of(line(1, 0), line(0, 1)))
 
+    def test_zero_second_subspace(self):
+        # E1 + E2 = E1 has no pair SVD; each witness is its own first
+        # component
+        e3 = line(1, 1, 0)
+        split = pentagon_split(SubspaceSystem.of(orthonormalize([[1, 0, 0], [0, 1, 0]]), Subspace.zero(3), e3))
+        assert split.case == CASE_DISTRIBUTIVE
+        assert split.witness_count == 1
+        assert np.array_equal(split.first_components, split.quotient_vectors)
+        assert np.array_equal(split.second_components, np.zeros((3, 1)))
+        assert same_subspace(split.bridge, e3)
+        assert same_subspace(split.first_remainder, line(1, -1, 0))
+
+    def test_lifts_without_a_solve(self, monkeypatch):
+        # the oblique split lifts by the SVD that gives E1 + E2
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        assert pentagon_split(distributive_fixture()).witness_count == 1
+        assert calls == []
+
 
 class TestTruncatedExample:
     def test_dimensions(self):

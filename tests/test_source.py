@@ -171,6 +171,81 @@ def test_detects_a_second_pair_factorization(tmp_path):
     assert pair_factorizations(module) == [("meet", 3), ("join", 6)]
 
 
+def function_calls(path: Path) -> list:
+    """Every call in a module, as ``(callee, enclosing function, line)``;
+    the callee is the last name of a dotted call (``np.linalg.solve`` is
+    ``solve``) or the original name of a name imported under another one,
+    and ``<module>`` is the top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname
+    }
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute):
+                    found.append((func.attr, scope, child.lineno))
+                elif isinstance(func, ast.Name):
+                    found.append((aliases.get(func.id, func.id), scope, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(tree, "<module>")
+    return sorted(found, key=lambda call: call[2])
+
+
+def package_calls(name: str) -> list:
+    return [
+        (path.name, scope)
+        for path in MODULES
+        for callee, scope, _ in function_calls(path)
+        if callee == name
+    ]
+
+
+def test_no_linear_solve():
+    # the oblique split lifts by the pseudo-inverse of the pair's one SVD,
+    # and the isomorphism witness inverts one block matrix
+    assert package_calls("solve") == []
+
+
+def test_sum_operator_matrix_is_formed_only_on_request():
+    # the restricted sum operator's spectrum and inverse come off the
+    # pair's SVD; its matrix is the public sum_operator_matrix and the
+    # per-angle determinant certificate
+    assert package_calls("_sum_operator_on") == [
+        ("two_subspaces.py", "sum_operator_matrix"),
+        ("two_subspaces.py", "restricted_sum_operator"),
+    ]
+
+
+def test_detects_a_solve_and_a_sum_operator_matrix(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import solve as lift\n"
+        "def split(t, u):\n"
+        "    return np.linalg.solve(t, u)\n"
+        "def oblique(first, second, frame, u):\n"
+        "    matrix = _sum_operator_on(first, second, frame)\n"
+        "    return lift(matrix, u)\n"
+        "X = np.linalg.solve(np.eye(2), np.ones(2))\n"
+    )
+    calls = [(callee, scope, line) for callee, scope, line in function_calls(module)
+             if callee in ("solve", "_sum_operator_on")]
+    assert calls == [
+        ("solve", "split", 4),
+        ("_sum_operator_on", "oblique", 6),
+        ("solve", "oblique", 7),
+        ("solve", "<module>", 8),
+    ]
+
+
 def indented_json_writes(path: Path) -> list:
     """Calls of ``json.dump`` or ``json.dumps`` that pass ``indent``, or
     unpack keywords that may hold it, as ``(enclosing function, line)``.

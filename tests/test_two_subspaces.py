@@ -162,9 +162,13 @@ class TestOneSpectrum:
         small = np.array([1e-7, 1e-5, 1e-3])
         planted = np.concatenate([small, np.pi / 2 - small])
         first, second = planted_pair(np.random.default_rng(1), planted, 1, 1, 1, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
+        with pytest.warns(ConditioningWarning) as record:
             dec = halmos_decompose(first, second)
+        # the note names what is near its threshold: an angle near ANGLE_EPS
+        assert [str(w.message) for w in record] == [
+            "1 angle(s) from 0 or pi/2 within a decade of the angle threshold 1.000e-08; "
+            "part decision is fragile"
+        ]
         assert part_dims(dec) == (1, 1, 1, 1, 6)
         assert np.allclose(dec.angles[:3], small, rtol=1e-6, atol=0.0)
         assert np.allclose(np.pi / 2 - dec.angles[3:], small[::-1], rtol=1e-6, atol=0.0)
@@ -259,6 +263,45 @@ class TestSumOperator:
         b2 = Subspace(np.linalg.qr(np.hstack([shared.basis, b.basis[:, :1]]))[0])
         rep2 = restricted_sum_operator(a2, b2)
         assert abs(rep2.sigma_max - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_spectrum_is_the_eigenvalues_of_the_matrix(self, seed):
+        # sigma_min and sigma_max come off the squared singular values of
+        # [B_1 | B_2]; the eigenvalues of the operator's matrix are a
+        # second route to them
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(0, 3, size=4)]
+        angles = np.sort(rng.uniform(0.05, np.pi / 2 - 0.05, size=int(rng.integers(1, 3))))
+        first, second = planted_pair(rng, angles, *dims)
+        rep = restricted_sum_operator(first, second)
+        eigs = np.linalg.eigvalsh(sum_operator_matrix(first, second)[1])
+        assert abs(rep.sigma_min - eigs[0]) <= 1e-12
+        assert abs(rep.sigma_max - eigs[-1]) <= 1e-12
+        assert rep.condition == rep.sigma_max / rep.sigma_min
+
+    def test_one_side_zero_is_the_identity(self):
+        a = orthonormalize([[1, 0, 0], [0, 1, 0]])
+        for first, second in ((a, Subspace.zero(3)), (Subspace.zero(3), a)):
+            rep = restricted_sum_operator(first, second)
+            assert (rep.sigma_min, rep.sigma_max, rep.condition) == (1.0, 1.0, 1.0)
+            assert rep.angles.size == 0 and rep.per_angle_determinants.size == 0
+
+    def test_factorizations_per_call(self, monkeypatch):
+        # the pair SVD serves the spectrum and the parts; the determinants
+        # are read off the 2g x 2g matrix of the operator
+        first, second = planted_pair(np.random.default_rng(4), np.array([0.2, 0.6, 1.1]), 1, 1, 1, 1)
+        calls = {"svd": 0, "det": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = restricted_sum_operator(first, second)
+        assert rep.angles.size == 3
+        assert calls == {"svd": 3, "det": 0}
 
 
 @given(
