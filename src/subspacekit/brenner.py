@@ -141,10 +141,11 @@ class BrennerDecomposition:
 
     The eleven subspaces are linearly independent and fill the ambient
     space; ``change_of_basis`` maps the system onto the coordinate normal
-    form, and ``residual`` is the worst gap between a mapped subspace and
-    its normal-form target.  ``sum_operator_sigma_min`` certifies the
-    conditioning of the oblique split used for the triangle part (None when
-    there is no triangle part).  The conditioning notes of the call (rank
+    form, ``block_matrix`` is its inverse (the blocks' bases as columns,
+    in slot order), and ``residual`` is the worst gap between a mapped
+    subspace and its normal-form target.  ``sum_operator_sigma_min``
+    certifies the conditioning of the oblique split used for the triangle
+    part (None when there is no triangle part).  The conditioning notes of the call (rank
     decisions near the cutoff, condition numbers over ``cond_warn``, a
     ``residual`` over ``residual_tol``) are collected per call and per
     thread into ``warnings``; any note marks the result as not trusted.
@@ -162,6 +163,7 @@ class BrennerDecomposition:
     triangle_3: Subspace
     outside: Subspace
     change_of_basis: np.ndarray
+    block_matrix: np.ndarray
     residual: float
     sum_operator_sigma_min: Optional[float]
     warnings: tuple
@@ -385,6 +387,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         triangle_1=triangle_1,
         triangle_2=triangle_2,
         change_of_basis=change_of_basis,
+        block_matrix=block_matrix,
         residual=residual,
         sum_operator_sigma_min=sigma_min,
         warnings=(),
@@ -400,15 +403,15 @@ def _atom_idempotent(
     In normal-form coordinates the projector D onto the coordinates of one
     block copy (one coordinate, or the (q1_j, q2_j) pair of a triangle)
     maps every normal-form subspace into itself, so P = B D C with C the
-    change of basis and B its inverse is an idempotent endomorphism of the
-    system.  The copy whose projector has the smallest norm is taken, the
-    best conditioned split; it is scored by |B[:, idx]| |C[idx, :]|, which
-    for a rank-one projector is its 2-norm.  Ties go to the first copy in
-    slot order.  A projector that fails the witness tests of the
-    idempotent search raises :class:`ConditioningError`.
+    change of basis and B its inverse, the block matrix, is an idempotent
+    endomorphism of the system.  The copy whose projector has the smallest
+    norm is taken, the best conditioned split; it is scored by
+    |B[:, idx]| |C[idx, :]|, which for a rank-one projector is its 2-norm.
+    Ties go to the first copy in slot order.  A projector that fails the
+    witness tests of the idempotent search raises
+    :class:`ConditioningError`.
     """
-    c = decomposition.change_of_basis
-    b = np.linalg.inv(c)
+    c, b = decomposition.change_of_basis, decomposition.block_matrix
     invariants = decomposition.invariants
     # Normal-form coordinates, as _assemble lays them out: one per copy of
     # the seven distributive kinds, then q1 and q2 of each triangle, then

@@ -4,6 +4,14 @@ A :class:`Subspace` of C^n is stored as an (n, k) matrix with orthonormal
 columns; the zero subspace is the (n, 0) matrix and is a first-class value.
 Projections are derived on demand and never stored.
 
+A basis keeps the kind of its input: bool, integer and float input is
+stored in float64, any complex input in complex128, decided by the dtype
+alone and never by the values.  A real basis spans the same subspace of
+C^n as its complex128 cast, and every check and rank decision below is
+the same on both, so real data (the graph pairs of :mod:`pentagon`) runs
+on real BLAS and LAPACK while results agree with the complex route.  Real
+and complex bases mix by ordinary numpy promotion.
+
 Every rank decision in the package goes through one rule (count singular
 values above ``rank_rtol`` times a reference scale).  Meet and join share
 one factorization and one rank decision, so the dimension identity
@@ -142,13 +150,21 @@ def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int,
               stacklevel)
 
 
+def _basis_dtype(array: np.ndarray):
+    """float64 for bool, integer and float arrays, complex128 for any other:
+    the dtype rule of every basis, read off the dtype, never the values."""
+    return np.float64 if array.dtype.kind in "biuf" else np.complex128
+
+
 def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=1) -> np.ndarray:
-    """Orthonormal basis (as columns) for the column space of ``matrix``;
-    ``stacklevel`` places a note as in :func:`_numerical_rank`."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+    """Orthonormal basis (as columns) for the column space of ``matrix``, in
+    the dtype :func:`_basis_dtype` gives it; ``stacklevel`` places a note
+    as in :func:`_numerical_rank`."""
+    matrix = np.asarray(matrix)
+    matrix = np.ascontiguousarray(matrix, dtype=_basis_dtype(matrix))
     n, k = matrix.shape
     if k == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
+        return np.zeros((n, 0), dtype=matrix.dtype)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     return u[:, : _numerical_rank(s, tol, scale=scale, stacklevel=stacklevel + 1)]
 
@@ -159,14 +175,18 @@ class Subspace:
 
     The constructor validates orthonormality (within ``ORTHONORMALITY_ATOL``)
     and freezes the array against writes.  k = 0 encodes the zero subspace.
-    Use :func:`orthonormalize` to build a Subspace from arbitrary spanning
-    vectors.
+    A real basis (bool, integer or float input) is stored in float64 and
+    any complex one in complex128: the dtype decides, not the values.  The
+    real basis spans the same subspace of C^n, and the checks are the same
+    for both.  Use :func:`orthonormalize` to build a Subspace from
+    arbitrary spanning vectors; it always yields complex128.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=np.complex128, copy=True, order="F")
+        given = np.asarray(self.basis)
+        basis = np.array(given, dtype=_basis_dtype(given), copy=True, order="F")
         if basis.ndim != 2:
             raise ValueError(f"basis must be a 2-d array, got shape {basis.shape}")
         n, k = basis.shape

@@ -239,6 +239,20 @@ class TestSkeletonChecks:
         assert count(lambda: brenner_decompose(a))["solve"] == 0
         assert count(lambda: brenner_decompose(b))["solve"] == 0
 
+    def test_atom_idempotent_inverts_nothing(self, monkeypatch):
+        # the block matrix B = C^-1 rides on the decomposition, so the
+        # witness B D C of one block copy needs no second inverse
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        decomposition = brenner_decompose(system)
+        identity = np.eye(system.ambient_dim)
+        assert np.abs(decomposition.block_matrix @ decomposition.change_of_basis - identity).max() < 1e-12
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+        witness = brenner._atom_idempotent(system, decomposition, DEFAULT_TOL)
+        assert calls == []
+        assert sum(part.dim for part in witness.split) == system.ambient_dim
+
     def test_lost_direction_of_first_inside_part(self, monkeypatch):
         # E1 ∩ (E2 + E3) comes out one dimension short
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)

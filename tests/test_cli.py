@@ -858,6 +858,40 @@ class TestPentagonCommand:
                 float(row["arctan_1_over_n"]), rel=1e-2
             )
 
+    def test_example9_runs_nine_real_svds_and_nothing_else(self, capsys, monkeypatch):
+        # eight margin rows and the truncation's two-column residual, all
+        # on the real bases the graph pairs are built from
+        calls = []
+        for name in ("svd", "qr", "solve", "inv", "eig", "eigh", "eigvals", "eigvalsh", "det",
+                     "lstsq", "pinv", "cholesky", "matrix_rank"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.asarray(a).dtype))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, out, err = run(capsys, "pentagon", "--example9", "200")
+        assert code == 0 and err == ""
+        assert calls == [("svd", np.dtype(np.float64))] * 9
+
+    @pytest.mark.parametrize("n", ["10", "200"])
+    def test_example9_report_equals_the_complex_route(self, capsys, monkeypatch, n):
+        code, real_out, err = run(capsys, "pentagon", "--example9", n)
+        assert code == 0
+
+        def as_complex(subspace):
+            assert subspace.basis.dtype == np.float64
+            return subspacekit.Subspace(subspace.basis.astype(np.complex128))
+
+        pair, truncation = cli.diagonal_graph_pair, cli.example9_truncated
+        monkeypatch.setattr(cli, "diagonal_graph_pair", lambda m: tuple(map(as_complex, pair(m))))
+        monkeypatch.setattr(cli, "example9_truncated",
+                            lambda m: subspacekit.SubspaceSystem.of(*map(as_complex, truncation(m).subspaces)))
+        code, complex_out, err = run(capsys, "pentagon", "--example9", n)
+        assert code == 0
+        assert complex_out == real_out
+
     def test_distributive_file(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "dist.json", 3,

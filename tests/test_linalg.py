@@ -20,6 +20,7 @@ from subspacekit import (
     same_subspace,
 )
 from conftest import random_subspace
+from subspacekit.linalg import DEFAULT_TOL, _column_span
 
 
 def line(*entries):
@@ -77,6 +78,39 @@ class TestSubspace:
         basis[:, 1] *= 1.0 + 2e-9
         kept = Subspace(basis)
         assert np.array_equal(kept.basis, basis)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float32, np.float64])
+    def test_real_input_keeps_a_float64_basis(self, dtype):
+        basis = np.eye(3, 2).astype(dtype)
+        kept = Subspace(basis)
+        assert kept.basis.dtype == np.float64
+        assert np.array_equal(kept.basis, np.eye(3, 2))
+        assert Subspace([[1, 0], [0, 1], [0, 0]]).basis.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_input_keeps_a_complex128_basis(self, dtype):
+        basis = np.eye(3, 2).astype(dtype)
+        assert Subspace(basis).basis.dtype == np.complex128
+        # the dtype decides, not the values: no imaginary part is needed
+        assert not np.iscomplex(basis).any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_column_span_keeps_the_kind_of_its_input(self, dtype):
+        spanning = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]], dtype=dtype)
+        assert _column_span(spanning, DEFAULT_TOL).dtype == dtype
+        assert _column_span(spanning[:, :0], DEFAULT_TOL).dtype == dtype
+        assert _column_span(np.array([[1, 2, 0], [1, 2, 1]]), DEFAULT_TOL).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_non_orthonormal_basis_is_rejected_in_either_kind(self, dtype):
+        basis = np.eye(3, 2, dtype=dtype)
+        basis[0, 1] = 2e-8  # Gram off-diagonal 2e-8, over ORTHONORMALITY_ATOL
+        with pytest.raises(ValueError, match=r"not orthonormal \(defect 2\.0\d*e-08\)"):
+            Subspace(basis)
+
+    def test_orthonormalize_stays_complex(self):
+        assert orthonormalize([[1.0, 2.0, 0.0]]).basis.dtype == np.complex128
+        assert Subspace.zero(3).basis.dtype == Subspace.full(3).basis.dtype == np.complex128
 
     def test_basis_is_frozen(self):
         s = Subspace.full(2)
@@ -336,3 +370,87 @@ def test_gap_is_a_metric_on_examples(n, seed):
     c = random_subspace(rng, n, rng.integers(1, n))
     assert gap(a, b) <= gap(a, c) + gap(c, b) + 1e-12
     assert abs(gap(a, b) - gap(b, a)) < 1e-12
+
+
+def real_planted_pair(rng, both, only_a, only_b, neither, generic):
+    """A real pair with the given part dimensions and ``generic`` angles in
+    (0.05, 1.5), turned by a random orthogonal matrix and given random
+    orthonormal bases of its own: float64 throughout."""
+    n = both + only_a + only_b + neither + 2 * generic
+    cuts = np.cumsum([both, only_a, only_b, neither, generic])
+    shared, a, b, _, x, z = np.split(np.eye(n), cuts, axis=1)
+    angles = rng.uniform(0.05, 1.5, generic)
+    turn = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    first = turn @ np.hstack([shared, a, x])
+    second = turn @ np.hstack([shared, b, x * np.cos(angles) + z * np.sin(angles)])
+    return tuple(
+        Subspace(m @ np.linalg.qr(rng.standard_normal((m.shape[1],) * 2))[0]) for m in (first, second)
+    )
+
+
+def as_complex(s):
+    return Subspace(s.basis.astype(np.complex128))
+
+
+def assert_same_subspace(x, y):
+    assert x.dim == y.dim
+    assert gap(x, y) <= 1e-12
+
+
+class TestRealBases:
+    """Real and complex128 bases of the same subspaces give the same
+    results, alone and mixed."""
+
+    # (in both, only first, only second, in neither, generic angles);
+    # zero and full subspaces included
+    SHAPES = [
+        (0, 0, 3, 2, 0),  # first zero
+        (0, 0, 0, 4, 0),  # both zero
+        (2, 3, 0, 0, 0),  # first full
+        (4, 0, 0, 0, 0),  # both full
+        (0, 0, 0, 0, 3),  # generic only
+        (1, 2, 1, 2, 3),  # all five parts
+        (2, 0, 3, 1, 2),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mixing_dtypes_changes_no_result(self, shape, seed):
+        a, b = real_planted_pair(np.random.default_rng(seed), *shape)
+        assert a.basis.dtype == b.basis.dtype == np.float64
+        ca, cb = as_complex(a), as_complex(b)
+        reference = {
+            "meet": meet(ca, cb), "join": join(ca, cb), "gap": gap(ca, cb),
+            "halmos": halmos_decompose(ca, cb),
+            "angles": principal_angles(ca, cb) if a.dim and b.dim else None,
+        }
+        halmos = reference["halmos"]
+        dims = (halmos.in_both, halmos.only_first, halmos.only_second, halmos.in_neither, halmos.generic)
+        assert tuple(part.dim for part in dims) == shape
+        for x, y in [(a, b), (a, cb), (ca, b)]:
+            assert_same_subspace(meet(x, y), reference["meet"])
+            assert_same_subspace(join(x, y), reference["join"])
+            assert abs(gap(x, y) - reference["gap"]) <= 1e-12
+            if reference["angles"] is not None:
+                # arccos turns a cosine's rounding into ~1e-8 near angle 0 in
+                # either dtype (its known limit), so shared directions are
+                # compared on the cosines the SVD returns, planted angles
+                # (all above 0.05) directly
+                angles, expected = principal_angles(x, y), reference["angles"]
+                assert np.abs(np.cos(angles) - np.cos(expected)).max() <= 1e-12
+                planted = expected > 0.01
+                assert np.abs(angles[planted] - expected[planted]).max(initial=0.0) <= 1e-12
+            halmos, expected = halmos_decompose(x, y), reference["halmos"]
+            for name in ("in_both", "only_first", "only_second", "in_neither", "generic"):
+                assert_same_subspace(getattr(halmos, name), getattr(expected, name))
+            assert np.abs(halmos.angles - expected.angles).max(initial=0.0) <= 1e-12
+
+    def test_real_pair_runs_on_real_lapack(self, monkeypatch):
+        a, b = real_planted_pair(np.random.default_rng(0), 1, 2, 1, 2, 3)
+        dtypes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *r, **k: dtypes.append(m.dtype) or svd(m, *r, **k))
+        results = [meet(a, b), join(a, b), halmos_decompose(a, b).generic]
+        principal_angles(a, b)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        assert {r.basis.dtype for r in results} == {np.dtype(np.float64)}
