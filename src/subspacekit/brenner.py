@@ -23,12 +23,15 @@ to the residual part of E3 inside E1 + E2 they produce the two partner
 line-families of the double-triangle blocks.  T is the Gram operator of
 [B_1 | B_2], diagonalized by the SVD that gives the meet and join of E1 and
 E2; the split is that SVD's pseudo-inverse.  The change of basis is then
-read off one block at a time.
+read off one block at a time, and certified as what it is: an isomorphism
+onto the coordinate normal form the nine multiplicities fix, by
+:func:`verify_isomorphism`, whose worst gap and condition it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -54,6 +57,7 @@ from .systems import (
     _accept_idempotent,
     _require_arity_three,
     _stacked_rank,
+    verify_isomorphism,
 )
 from .two_subspaces import _oblique_split, _part_span
 
@@ -84,6 +88,13 @@ SLOT_NAMES = (
 
 # Names of the eleven block subspaces, in BrennerDecomposition field order.
 BLOCK_NAMES = SLOT_NAMES[:7] + ("triangle_1", "triangle_2", "triangle_3", "outside")
+
+# The ten column groups of the change of basis, in stacking order.
+_COLUMN_GROUPS = tuple(name for name in BLOCK_NAMES if name != "triangle_3")
+
+# The distributive blocks of E1, E2 and E3; each also holds its triangle family.
+_HELD = (("common", "pair_13", "pair_12", "single_1"), ("common", "pair_23", "pair_12", "single_2"),
+         ("common", "pair_23", "pair_13", "single_3"))
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,8 @@ class BrennerDecomposition:
     space; ``change_of_basis`` maps the system onto the coordinate normal
     form, ``block_matrix`` is its inverse (the blocks' bases as columns,
     in slot order), and ``residual`` is the worst gap between a mapped
-    subspace and its normal-form target.  ``sum_operator_sigma_min``
+    subspace and its normal-form target, by :func:`verify_isomorphism`,
+    which also gives the change of basis its condition.  ``sum_operator_sigma_min``
     certifies the conditioning of the oblique split used for the triangle
     part (None when there is no triangle part).  The conditioning notes of the call (rank
     decisions near the cutoff, condition numbers over ``cond_warn``, a
@@ -318,9 +330,9 @@ def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfi
     split of the triangle part, the independence checks on the blocks and
     the matrix whose columns are the blocks' bases in slot order.
 
-    Returns ``(block_matrix, sizes, triangle_1, triangle_2)``: ``sizes`` is
-    the ten-block column layout.  Its notes go through ``_note``; the
-    caller decides where they are collected."""
+    Returns ``(block_matrix, triangle_1, triangle_2)``; the columns are
+    laid out as :func:`_layout` gives them.  Its notes go through
+    ``_note``; the caller decides where they are collected."""
     e1, e2, _ = system.subspaces
     n = system.ambient_dim
     triangle_3 = pieces["triangle_3"]
@@ -347,40 +359,28 @@ def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfi
     # kept raw (q1 then q2) so that the third family lands exactly on
     # the diagonal pairs of coordinates.
     columns = [b.basis for b in blocks[:7]] + [q1_vectors, q2_vectors, pieces["outside"].basis]
-    sizes = [c.shape[1] for c in columns]
-    return np.hstack(columns), sizes, triangle_1, triangle_2
+    return np.hstack(columns), triangle_1, triangle_2
 
 
 def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDecomposition:
-    """Everything after the skeleton: the change of basis of
-    :func:`_change_of_basis_columns`, certified by the conditioning of the
-    restricted sum operator (the squared kept singular values of the SVD
-    of (E1, E2)) and of the change of basis, and by the normal-form
-    residual.  Its notes go through ``_note`` in the order the decisions
-    were made; the caller decides where they are collected."""
-    with _collect_notes() as column_notes:
-        block_matrix, sizes, triangle_1, triangle_2 = _change_of_basis_columns(system, pieces, tol)
-
+    """Everything after the skeleton: the restricted sum operator's
+    condition (off the SVD of (E1, E2)), then the change of basis C of
+    :func:`_change_of_basis_columns`, certified by :func:`verify_isomorphism`
+    onto :func:`_normal_form`.  Its notes go through ``_note`` in that
+    order; the caller decides where they are collected."""
     sigma_min = None
     if pieces["triangle_3"].dim:
         spectrum = pieces["factors_12"][1][: pieces["join_12"].dim] ** 2
         sigma_min = float(spectrum[-1])
         if spectrum[0] / sigma_min > tol.cond_warn:
-            _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}", 2)
-    # the operator's condition is reported ahead of the rank notes of the
-    # split made with it
-    for note in column_notes:
-        _note(note, 2)
-
-    spectrum = np.linalg.svd(block_matrix, compute_uv=False)
-    condition = float(spectrum[0] / spectrum[-1])
-    if condition > tol.cond_warn:
-        _note(f"change of basis has condition {condition:.3e}", 2)
+            _note(f"restricted sum operator has condition {spectrum[0] / sigma_min:.3e}")
+    block_matrix, triangle_1, triangle_2 = _change_of_basis_columns(system, pieces, tol)
     change_of_basis = np.linalg.inv(block_matrix)
-
-    residual = _normal_form_residual(change_of_basis, sizes, system.subspaces, tol)
-    if residual > tol.residual_tol:
-        _note(f"normal-form residual {residual:.3e} exceeds residual_tol {tol.residual_tol:.3e}", 2)
+    report = verify_isomorphism(change_of_basis, system, _normal_form(_invariants_of(pieces)), tol)
+    if report.condition > tol.cond_warn:
+        _note(f"change of basis has condition {report.condition:.3e}")
+    if report.max_gap > tol.residual_tol:
+        _note(f"normal-form residual {report.max_gap:.3e} exceeds residual_tol {tol.residual_tol:.3e}")
 
     return BrennerDecomposition(
         **{name: pieces[name] for name in BLOCK_NAMES if name in pieces},
@@ -388,10 +388,32 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         triangle_2=triangle_2,
         change_of_basis=change_of_basis,
         block_matrix=block_matrix,
-        residual=residual,
+        residual=report.max_gap,
         sum_operator_sigma_min=sigma_min,
         warnings=(),
     )
+
+
+def _layout(invariants: InvariantVector) -> dict:
+    """Normal-form coordinates of each column group, keyed by name, in the
+    order :func:`_change_of_basis_columns` stacks them: one per copy of the
+    seven distributive kinds, then q1 (``triangle_1``) and q2
+    (``triangle_2``) of each triangle, then one per outside copy."""
+    sizes = invariants.as_tuple()[:7] + (invariants.triangle, invariants.triangle, invariants.outside)
+    return {name: range(end - size, end) for name, size, end in zip(_COLUMN_GROUPS, sizes, accumulate(sizes))}
+
+
+def _normal_form(invariants: InvariantVector) -> SubspaceSystem:
+    """The coordinate normal form of the triples with these invariants:
+    each E_i is spanned by the :func:`_layout` coordinates of its blocks,
+    E1 and E2 by q1 and q2, and E3 by the diagonals (q1_j + q2_j) / sqrt(2)."""
+    at = _layout(invariants)
+    identity = np.eye(invariants.total_dim)
+    q1, q2 = identity[:, at["triangle_1"]], identity[:, at["triangle_2"]]
+    return SubspaceSystem.of(*(
+        Subspace(np.hstack([identity[:, [i for name in names for i in at[name]]], triangle]))
+        for names, triangle in zip(_HELD, (q1, q2, (q1 + q2) / np.sqrt(2.0)))
+    ))
 
 
 def _atom_idempotent(
@@ -413,14 +435,10 @@ def _atom_idempotent(
     """
     c, b = decomposition.change_of_basis, decomposition.block_matrix
     invariants = decomposition.invariants
-    # Normal-form coordinates, as _assemble lays them out: one per copy of
-    # the seven distributive kinds, then q1 and q2 of each triangle, then
-    # one per outside copy.
-    flat = sum(invariants.as_tuple()[:7])
-    k = invariants.triangle
-    copies = [(i,) for i in range(flat)]
-    copies += [(flat + j, flat + k + j) for j in range(k)]
-    copies += [(i,) for i in range(flat + 2 * k, system.ambient_dim)]
+    at = _layout(invariants)
+    copies = [(i,) for name in SLOT_NAMES[:7] for i in at[name]]
+    copies += list(zip(at["triangle_1"], at["triangle_2"]))
+    copies += [(i,) for i in at["outside"]]
     column_mass = (np.abs(b) ** 2).sum(axis=0)
     row_mass = (np.abs(c) ** 2).sum(axis=1)
 
@@ -435,36 +453,6 @@ def _atom_idempotent(
             f"({invariants.total_atoms} blocks)"
         )
     return witness
-
-
-def _normal_form_residual(change_of_basis, sizes, subspaces, tol):
-    """Worst gap between a subspace carried into block coordinates by the
-    change of basis C (the image C B_e of its basis) and its normal-form
-    target.
-
-    sizes is the 10-block column layout (7 distributive pieces, q1, q2,
-    outside).  Each target is a selection of coordinate columns; the third
-    one also takes the diagonal directions (q1_j + q2_j) / sqrt(2).
-    """
-    n = change_of_basis.shape[0]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    (common, pair_23, pair_13, pair_12, single_1, single_2, single_3, q1, q2, _) = (
-        np.arange(starts[i], starts[i + 1]) for i in range(len(sizes))
-    )
-    identity = np.eye(n, dtype=np.complex128)
-    targets = (
-        identity[:, np.concatenate([common, pair_13, pair_12, single_1, q1])],
-        identity[:, np.concatenate([common, pair_23, pair_12, single_2, q2])],
-        np.hstack([
-            identity[:, np.concatenate([common, pair_23, pair_13, single_3])],
-            (identity[:, q1] + identity[:, q2]) / np.sqrt(2.0),
-        ]),
-    )
-    worst = 0.0
-    for e, f in zip(subspaces, targets):
-        mapped = _column_span(change_of_basis @ e.basis, tol)
-        worst = max(worst, gap(Subspace(mapped), Subspace(f)))
-    return float(worst)
 
 
 def verify_brenner(
@@ -483,21 +471,15 @@ def verify_brenner(
     """
     _require_arity_three(system)
     d = decomposition
-    e1, e2, e3 = system.subspaces
     n = system.ambient_dim
 
-    assignments = (
-        (e1, (d.common, d.pair_13, d.pair_12, d.single_1, d.triangle_1)),
-        (e2, (d.common, d.pair_23, d.pair_12, d.single_2, d.triangle_2)),
-        (e3, (d.common, d.pair_23, d.pair_13, d.single_3, d.triangle_3)),
-    )
+    q = (d.triangle_1, d.triangle_2, d.triangle_3)
     subspace_gaps = []
-    for e, parts in assignments:
-        stacked = np.hstack([p.basis for p in parts])
+    for e, names, triangle in zip(system.subspaces, _HELD, q):
+        stacked = np.hstack([getattr(d, name).basis for name in names] + [triangle.basis])
         image = Subspace(_column_span(stacked, tol))
         subspace_gaps.append(float(gap(image, e)))
 
-    q = (d.triangle_1, d.triangle_2, d.triangle_3)
     dims_equal = q[0].dim == q[1].dim == q[2].dim
     meets, joins, _ = zip(*(_meet_join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))))
     meet_dims = tuple(m.dim for m in meets)
@@ -507,7 +489,7 @@ def verify_brenner(
     joins_sized = all(j.dim == 2 * q[2].dim for j in joins)
 
     # the third triangle family lies in the span of the other two
-    all_blocks = [getattr(d, name) for name in BLOCK_NAMES if name != "triangle_3"]
+    all_blocks = [getattr(d, name) for name in _COLUMN_GROUPS]
     total = sum(b.dim for b in all_blocks)
     rank = _stacked_rank(all_blocks, tol)
     independent = rank == total
@@ -552,7 +534,7 @@ def normalize_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEF
     if not _is_double_triangle(decomposition.invariants):
         raise ValueError("not a double triangle: need pairwise trivial meets and pairwise full joins")
     for note in decomposition.warnings:
-        _note(note, 1)
+        _note(note)
     return decomposition.invariants.triangle, decomposition.change_of_basis
 
 
@@ -574,11 +556,12 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     the ambient dimensions match are the skeletons built into changes of
     basis (:func:`_change_of_basis_columns`), and the witness is a's change
     of basis composed with the inverse of b's, C_b^-1 C_a = B_b B_a^-1 for
-    the block matrices B = C^-1.  No normal-form residual or condition
-    number is computed here: the caller certifies the witness
-    itself (``verify_isomorphism``).  Notes from the skeletons reach the
-    caller as :class:`ConditioningWarning`; those from building the
-    changes of basis are collected for this call alone and dropped.
+    the block matrices B = C^-1.  Nothing is certified here: where
+    :func:`brenner_decompose` certifies C by ``verify_isomorphism`` onto
+    the normal form, the caller certifies the witness by it onto b.
+    Notes from the skeletons reach the caller as
+    :class:`ConditioningWarning`; those from building the changes of
+    basis are collected for this call alone and dropped.
     """
     _require_arity_three(a)
     _require_arity_three(b)

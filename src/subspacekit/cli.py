@@ -452,7 +452,7 @@ def cmd_analyze(args, overrides):
         # means transitive and more than one means decomposable.
         decomposition = brenner_decompose(system, tol)
         for note in decomposition.warnings:
-            _note(note, 1)
+            _note(note)
         invariants = decomposition.invariants
         transitive = invariants.total_atoms == 1
         witness = None if transitive else _atom_idempotent(system, decomposition, tol)

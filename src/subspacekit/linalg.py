@@ -23,11 +23,14 @@ take the count the lattice already decided.
 
 Conditioning notes have one emitter, ``_note``: inside ``_collect_notes``
 it appends to that call's list, kept per thread and task in a context
-variable; anywhere else it issues a :class:`ConditioningWarning`.
+variable; anywhere else it issues a :class:`ConditioningWarning` from the
+first line outside the package, the one that called into it.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -98,13 +101,19 @@ DEFAULT_TOL = ToleranceConfig()
 
 _NOTES: ContextVar = ContextVar("subspacekit_notes", default=None)
 
+_PACKAGE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "")
 
-def _note(message: str, stacklevel: int):
+
+def _note(message: str):
     """Append a conditioning note to the active collector, or else warn from
-    ``stacklevel`` frames above the caller, as ``warnings.warn`` counts."""
+    the first frame outside the package directory, as Python 3.12's
+    ``skip_file_prefixes`` would (3.10 and 3.11 need the walk done here)."""
     sink = _NOTES.get()
     if sink is None:
-        warnings.warn(message, ConditioningWarning, stacklevel=stacklevel + 1)
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(message, ConditioningWarning, stacklevel=level)
     else:
         sink.append(message)
 
@@ -120,14 +129,13 @@ def _collect_notes():
         _NOTES.reset(token)
 
 
-def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=2) -> int:
+def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=None) -> int:
     """Shared rank rule.
 
     ``scale`` defaults to the largest singular value.  Pass ``scale=1.0``
     for matrices whose singular values have an absolute meaning (for
     example sines of principal angles), where a relative cutoff would
-    promote pure rounding noise to full rank.  A near-cutoff note is placed
-    as ``warnings.warn(stacklevel=stacklevel)`` called by the caller would.
+    promote pure rounding noise to full rank.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
@@ -136,18 +144,17 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
     if reference <= 0.0:
         return 0
     cutoff = tol.rank_rtol * reference
-    _warn_near_cutoff(s, cutoff, stacklevel + 2)
+    _warn_near_cutoff(s, cutoff)
     return int(np.count_nonzero(s > cutoff))
 
 
-def _warn_near_cutoff(s: np.ndarray, cutoff: float, stacklevel: int,
-                      values="singular value(s)", threshold="the rank cutoff", decision="rank"):
+def _warn_near_cutoff(s: np.ndarray, cutoff: float, values="singular value(s)",
+                      threshold="the rank cutoff", decision="rank"):
     """Conditioning note for ``values`` within a decade of ``cutoff``, the
     ``threshold`` of a ``decision``."""
     near = int(np.count_nonzero((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     if near:
-        _note(f"{near} {values} within a decade of {threshold} {cutoff:.3e}; {decision} decision is fragile",
-              stacklevel)
+        _note(f"{near} {values} within a decade of {threshold} {cutoff:.3e}; {decision} decision is fragile")
 
 
 def _basis_dtype(array: np.ndarray):
@@ -156,17 +163,16 @@ def _basis_dtype(array: np.ndarray):
     return np.float64 if array.dtype.kind in "biuf" else np.complex128
 
 
-def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None, stacklevel=1) -> np.ndarray:
+def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.ndarray:
     """Orthonormal basis (as columns) for the column space of ``matrix``, in
-    the dtype :func:`_basis_dtype` gives it; ``stacklevel`` places a note
-    as in :func:`_numerical_rank`."""
+    the dtype :func:`_basis_dtype` gives it."""
     matrix = np.asarray(matrix)
     matrix = np.ascontiguousarray(matrix, dtype=_basis_dtype(matrix))
     n, k = matrix.shape
     if k == 0:
         return np.zeros((n, 0), dtype=matrix.dtype)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, : _numerical_rank(s, tol, scale=scale, stacklevel=stacklevel + 1)]
+    return u[:, : _numerical_rank(s, tol, scale=scale)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,22 +281,22 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
         )
     if not (np.all(np.isfinite(array.real)) and np.all(np.isfinite(array.imag))):
         raise ValueError("spanning vectors must be finite")
-    return Subspace(_column_span(array.T, tol, stacklevel=2))
+    return Subspace(_column_span(array.T, tol))
 
 
-def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig, stacklevel=1):
+def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
     """``(meet, join, factors)`` of a pair from one SVD of [B_a | B_b] and
     one rank decision: the join from the leading left singular vectors, the
     meet from the null right ones, each a pair (x; y) with B_a x = -B_b y in
     both.  ``factors`` is the SVD's own ``(u, s, vh)``, whose ``s`` holds
     the pair's principal angles; it is None when a side is zero, which
-    needs no SVD.  ``stacklevel`` places a note as in :func:`_numerical_rank`."""
+    needs no SVD."""
     _require_same_ambient(a, b)
     n, k = a.ambient_dim, a.dim + b.dim
     if a.dim == 0 or b.dim == 0:  # an orthonormal basis decides its own rank
         return Subspace.zero(n), b if a.dim == 0 else a, None
     u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=k > n)
-    rank = _numerical_rank(s, tol, stacklevel=stacklevel + 1)
+    rank = _numerical_rank(s, tol)
     joined = Subspace(u[:, :rank])
     if rank == k:
         return Subspace.zero(n), joined, (u, s, vh)
@@ -302,13 +308,13 @@ def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig, stacklevel=1):
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces.  One factorization serves it and
     :func:`join`, so dim meet + dim join = dim a + dim b by construction."""
-    return _meet_join(a, b, tol, stacklevel=2)[0]
+    return _meet_join(a, b, tol)[0]
 
 
 def join(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Sum (span of the union) of two subspaces.  One factorization serves
     it and :func:`meet`, so dim meet + dim join = dim a + dim b by construction."""
-    return _meet_join(a, b, tol, stacklevel=2)[1]
+    return _meet_join(a, b, tol)[1]
 
 
 def complement(a: Subspace) -> Subspace:
@@ -338,7 +344,7 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
         return whole
     residual = whole.basis - part.basis @ (part.basis.conj().T @ whole.basis)
     u, s, _ = np.linalg.svd(np.ascontiguousarray(residual), full_matrices=False)
-    _warn_near_cutoff(s, tol.rank_rtol, stacklevel=3)
+    _warn_near_cutoff(s, tol.rank_rtol)
     expected = whole.dim - part.dim
     kept, dropped = s[:expected].min(initial=1.0), s[expected:].max(initial=0.0)
     if kept < 0.5 or dropped >= 0.5:

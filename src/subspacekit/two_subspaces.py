@@ -133,7 +133,7 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
     cluster does not split cleanly at 0.5, both of which signal decisions
     too close to ``eps``.
     """
-    return _halmos_parts(first, second, _meet_join(first, second, tol, stacklevel=2), tol)
+    return _halmos_parts(first, second, _meet_join(first, second, tol), tol)
 
 
 def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceConfig) -> TwoSubspaceDecomposition:
@@ -148,7 +148,7 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
     phi = 2.0 * np.arcsin(np.minimum(np.pad(s, (0, k - s.size)) / np.sqrt(2.0), 1.0))
     eps = max(ANGLE_EPS, 2.0 * tol.rank_rtol * float(s[0]))
     distance = np.minimum(phi, np.abs(phi - np.pi / 2.0))
-    _warn_near_cutoff(distance, eps, 4, "angle(s) from 0 or pi/2", "the angle threshold", "part")
+    _warn_near_cutoff(distance, eps, "angle(s) from 0 or pi/2", "the angle threshold", "part")
     # phi descends, so the four classes are consecutive runs
     plus = int(np.count_nonzero(phi > np.pi / 2.0 + eps))
     right = int(np.count_nonzero(np.abs(phi - np.pi / 2.0) <= eps))
@@ -249,7 +249,7 @@ def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceCon
     exactly as the pair approaches a missed intersection.  The spectrum
     and the parts come off the one SVD of [B_1 | B_2].
     """
-    meet_join = _meet_join(first, second, tol, stacklevel=2)
+    meet_join = _meet_join(first, second, tol)
     _, joined, factors = meet_join
     if joined.dim == 0:
         raise ValueError("the restricted sum operator needs a nonzero sum")

@@ -189,6 +189,45 @@ def drop_last_direction(subspace):
     return Subspace(subspace.basis[:, :-1])
 
 
+NORMAL_FORM_VECTORS = [InvariantVector(*(int(i == slot) for i in range(9))) for slot in range(9)] + [
+    ALL_SLOTS,
+    InvariantVector(0, 0, 0, 0, 0, 0, 0, 3, 0),
+    InvariantVector(2, 0, 1, 3, 0, 1, 2, 2, 1),
+]
+
+
+class TestNormalForm:
+    """The coordinate normal form is the target the change of basis is
+    certified against, by verify_isomorphism."""
+
+    @pytest.mark.parametrize("vector", NORMAL_FORM_VECTORS, ids=lambda v: "".join(map(str, v.as_tuple())))
+    def test_normal_form_has_its_invariants(self, vector):
+        normal_form = brenner._normal_form(vector)
+        assert normal_form.ambient_dim == vector.total_dim
+        assert brenner_invariants(normal_form) == vector
+        d = brenner_decompose(normal_form)
+        assert d.invariants == vector
+        assert d.residual < 1e-12
+        assert d.trusted
+
+    def test_residual_is_the_isomorphism_certificate(self):
+        # every eleventh system at scramble condition up to 1e9, where some
+        # residuals cross residual_tol
+        checked = 0
+        for vector, seed, cond in corpus_spec(max_cond=1e9)[::11]:
+            system, _ = compose_from_multiplicities(vector, seed, cond)
+            try:
+                d = brenner_decompose(system)
+            except ConditioningError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                report = verify_isomorphism(d.change_of_basis, system, brenner._normal_form(d.invariants))
+            assert d.residual == report.max_gap
+            checked += 1
+        assert checked > 15
+
+
 class TestSkeletonChecks:
     """The skeleton cross-checks its rank decisions by the modular law on
     dimensions it has already decided, at no extra factorization."""

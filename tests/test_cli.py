@@ -318,6 +318,7 @@ class TestAnalyzeRoutes:
             issubclass(w.category, ConditioningWarning) and "rank decision is fragile" in str(w.message)
             for w in caught
         )
+        assert {w.filename for w in caught if issubclass(w.category, ConditioningWarning)} == {__file__}
 
 
 class TestInputErrors:
@@ -574,6 +575,8 @@ class TestIsomorphic:
         assert code == 0
         assert report["isomorphic"] is True
         assert any(issubclass(w.category, ConditioningWarning) for w in caught)
+        # attributed to the line that called cli.main, not to a package line
+        assert {w.filename for w in caught if issubclass(w.category, ConditioningWarning)} == {__file__}
 
 
 def report_dim(report):

@@ -6,18 +6,23 @@ from subspacekit import (
     ConditioningError,
     ConditioningWarning,
     Subspace,
+    SubspaceSystem,
     ToleranceConfig,
+    brenner_invariants,
     complement,
     complement_within,
     contains,
     gap,
     halmos_decompose,
+    is_isomorphic_three,
+    isomorphism_between,
     join,
     meet,
     orthonormalize,
     principal_angles,
     restricted_sum_operator,
     same_subspace,
+    verify_isomorphism,
 )
 from conftest import random_subspace
 from subspacekit.linalg import DEFAULT_TOL, _column_span
@@ -25,6 +30,11 @@ from subspacekit.linalg import DEFAULT_TOL, _column_span
 
 def line(*entries):
     return orthonormalize([list(entries)])
+
+
+# E1 and E2 at an angle of 3e-10, within a decade of the rank cutoff
+NEAR_CUTOFF_TRIPLE = SubspaceSystem.of(line(1, 0, 0), line(1, 3e-10, 0), line(0, 0, 1))
+FULL_PLANE = SubspaceSystem.of(Subspace.full(2))
 
 
 class TestToleranceConfig:
@@ -232,18 +242,26 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             meet(line(1, 0), line(1, 0, 0))
 
-    @pytest.mark.parametrize("call", [
-        lambda: meet(line(1, 0, 0), line(1, 3e-10, 0)),
-        lambda: join(line(1, 0, 0), line(1, 3e-10, 0)),
-        lambda: orthonormalize([[1.0, 0.0], [1.0, 3e-10]]),
-        lambda: complement_within(orthonormalize([[1, 0, 0], [0, 1, 0]]), line(1, 0, 3e-10)),
-        lambda: halmos_decompose(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))),
-        lambda: restricted_sum_operator(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))),
-    ], ids=["meet", "join", "orthonormalize", "complement_within", "halmos_decompose", "restricted_sum_operator"])
-    def test_near_cutoff_warning_names_the_caller(self, call):
+    @pytest.mark.parametrize("call, count", [
+        (lambda: meet(line(1, 0, 0), line(1, 3e-10, 0)), 1),
+        (lambda: join(line(1, 0, 0), line(1, 3e-10, 0)), 1),
+        (lambda: orthonormalize([[1.0, 0.0], [1.0, 3e-10]]), 1),
+        (lambda: complement_within(orthonormalize([[1, 0, 0], [0, 1, 0]]), line(1, 0, 3e-10)), 1),
+        (lambda: halmos_decompose(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))), 1),
+        (lambda: restricted_sum_operator(line(1, 0), line(np.cos(3e-9), np.sin(3e-9))), 1),
+        # the image of a unit basis vector of length 3e-10, in the package's
+        # own loop over the subspaces
+        (lambda: verify_isomorphism(np.diag([1.0, 3e-10]), FULL_PLANE, FULL_PLANE), 1),
+        # three near-cutoff pair decisions per skeleton, two levels down
+        (lambda: brenner_invariants(NEAR_CUTOFF_TRIPLE), 3),
+        (lambda: is_isomorphic_three(NEAR_CUTOFF_TRIPLE, SubspaceSystem.of(line(1, 0, 0), line(0, 1, 0), line(0, 0, 1))), 3),
+        (lambda: isomorphism_between(NEAR_CUTOFF_TRIPLE, NEAR_CUTOFF_TRIPLE), 6),
+    ], ids=["meet", "join", "orthonormalize", "complement_within", "halmos_decompose", "restricted_sum_operator",
+            "verify_isomorphism", "brenner_invariants", "is_isomorphic_three", "isomorphism_between"])
+    def test_near_cutoff_warning_names_the_caller(self, call, count):
         with pytest.warns(ConditioningWarning) as record:
             call()
-        assert [w.filename for w in record] == [__file__]
+        assert [w.filename for w in record] == [__file__] * count
 
 
 class TestMetrics:

@@ -4,9 +4,11 @@ import pytest
 from subspacekit import (
     CASE_DISTRIBUTIVE,
     CASE_PENTAGON,
+    InvariantVector,
     Subspace,
     SubspaceSystem,
     closedness_margin,
+    compose_from_multiplicities,
     detect_pentagon,
     diagonal_graph_pair,
     example9_truncated,
@@ -134,6 +136,21 @@ class TestPentagonSplit:
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
         assert pentagon_split(distributive_fixture()).witness_count == 1
         assert calls == []
+
+    @pytest.mark.parametrize("vector, case, svds", [
+        ((0, 2, 3, 0, 2, 0, 0, 0, 1), CASE_DISTRIBUTIVE, 7),
+        ((0, 2, 3, 0, 2, 0, 2, 0, 1), CASE_PENTAGON, 8),
+    ])
+    def test_factorizations_per_call(self, monkeypatch, vector, case, svds):
+        # E1 ∩ E2 = 0 and E2 < E3 by the multiplicities; the distributive
+        # case certifies its three parts independent once, which covers
+        # base and bridge, whose dimensions add up by the counts
+        system, _ = compose_from_multiplicities(InvariantVector(*vector), 5, 10.0)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert pentagon_split(system).case == case
+        assert len(calls) == svds
 
 
 class TestTruncatedExample:

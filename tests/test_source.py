@@ -307,3 +307,82 @@ def test_detects_an_indented_json_write(tmp_path):
         ("show", 10),
         ("<module>", 13),
     ]
+
+
+def stacklevel_uses(path: Path) -> list:
+    """Every ``stacklevel`` a module declares as a function parameter or
+    passes as a keyword, as ``(kind, enclosing function, line)`` with kind
+    ``"parameter"`` or ``"keyword"``; ``<module>`` is the top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if is_def:
+                arguments = child.args
+                names = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                names += [a for a in (arguments.vararg, arguments.kwarg) if a is not None]
+                if any(a.arg == "stacklevel" for a in names):
+                    found.append(("parameter", getattr(child, "name", "<lambda>"), child.lineno))
+            elif isinstance(child, ast.Call):
+                if any(keyword.arg == "stacklevel" for keyword in child.keywords):
+                    found.append(("keyword", scope, child.lineno))
+            visit(child, getattr(child, "name", scope) if is_def else scope)
+
+    visit(tree, "<module>")
+    return sorted(found, key=lambda use: use[2])
+
+
+def test_only_the_emitter_places_warnings():
+    # linalg._note attributes every warning to the first frame outside the
+    # package, so no function below it counts frames
+    found = [(path.name, kind, scope) for path in MODULES for kind, scope, _ in stacklevel_uses(path)]
+    assert found == [("linalg.py", "keyword", "_note")]
+
+
+def test_detects_stacklevel_plumbing(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import warnings\n"
+        "def _rank(s, tol, stacklevel=2):\n"
+        "    warnings.warn('near', stacklevel=stacklevel + 1)\n"
+        "def meet(a, b, *, stacklevel):\n"
+        "    return _rank(a, b, stacklevel=stacklevel)\n"
+        "emit = lambda message, stacklevel: warnings.warn(message, stacklevel=stacklevel)\n"
+        "def _note(message):\n"
+        "    warnings.warn(message, stacklevel=3)\n"
+    )
+    assert stacklevel_uses(module) == [
+        ("parameter", "_rank", 2),
+        ("keyword", "_rank", 3),
+        ("parameter", "meet", 4),
+        ("keyword", "meet", 5),
+        ("parameter", "<lambda>", 6),
+        ("keyword", "<module>", 6),
+        ("keyword", "_note", 8),
+    ]
+
+
+def test_one_decomposition_certificate():
+    # brenner_decompose certifies its change of basis through
+    # systems.verify_isomorphism; only the independent verifier measures
+    # gaps in brenner.py itself
+    calls = {scope for callee, scope, _ in function_calls(PACKAGE / "brenner.py") if callee == "gap"}
+    assert calls == {"verify_brenner"}
+
+
+def test_detects_a_copied_certificate(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .linalg import gap as distance\n"
+        "from . import linalg\n"
+        "def verify_brenner(system, d):\n"
+        "    return gap(d.common, system.subspaces[0])\n"
+        "def _normal_form_residual(c, subspaces, targets):\n"
+        "    return max(distance(e, f) for e, f in zip(subspaces, targets))\n"
+        "def _assemble(a, b):\n"
+        "    return linalg.gap(a, b)\n"
+    )
+    calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == "gap"]
+    assert calls == [("verify_brenner", 4), ("_normal_form_residual", 6), ("_assemble", 8)]
