@@ -16,6 +16,14 @@ isomorphism invariant, and the full vector of nine multiplicities is a
 complete invariant: two systems of three subspaces are isomorphic exactly
 when their vectors agree.
 
+The lattice pieces come off three full SVDs, one per pair [B_j | B_k]:
+each gives the meet E_j ∩ E_k, the join E_j + E_k and an orthonormal
+basis C_jk of the join's orthogonal complement.  The opposite E_i is split
+against that join by one small SVD of C_jk^H B_i, whose singular values
+are the sines of the angles between E_i and E_j + E_k: its null right
+vectors give E_i ∩ (E_j + E_k), the others single_i, and for E3 its rank
+gives E1 + E2 + E3 and its left vectors the outside part.
+
 The constructive split works inside the sum E1 + E2.  Writing T for the
 restriction of P1 + P2 to that sum (invertible there), the maps
 A_i = P_i T^{-1} give a pair of complementary oblique projections; applied
@@ -45,6 +53,7 @@ from .linalg import (
     _column_span,
     _meet_join,
     _note,
+    _numerical_rank,
     complement,
     complement_within,
     gap,
@@ -214,37 +223,47 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
 
     Returns a dict with the seven distributive pieces, the third triangle
     family, the outside part, ``join_12`` = E1 + E2 and ``factors_12``, the
-    SVD of (E1, E2) from ``_meet_join``.  Its dimensions must obey the
-    modular law, checked at no factorization cost; a violation is an
-    unstable rank decision and raises :class:`ConditioningError`.
+    SVD of (E1, E2) from ``_meet_join``.
+
+    Three factorizations of pairs serve the whole lattice.  Each pair SVD
+    gives the meet and join E_j + E_k and, in its full ``u``, a basis of
+    (E_j + E_k)^⊥; each E_i is split against the opposite join by one small
+    SVD of that basis against B_i (:func:`_split`), which gives single_i,
+    E_i ∩ (E_j + E_k) and, for E3, the rank that makes E1 + E2 + E3 and the
+    outside part.  Their dimensions must obey the modular law, checked at
+    no factorization cost; a violation is an unstable rank decision and
+    raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
     meet_12, join_12, factors_12 = _meet_join(e1, e2, tol)
-    meet_13, join_13, _ = _meet_join(e1, e3, tol)
-    meet_23, join_23, _ = _meet_join(e2, e3, tol)
+    meet_13, join_13, factors_13 = _meet_join(e1, e3, tol)
+    meet_23, join_23, factors_23 = _meet_join(e2, e3, tol)
     common = meet(meet_12, e3, tol)
 
     pair_23 = _complement_in(meet_23, common, tol)
     pair_13 = _complement_in(meet_13, common, tol)
     pair_12 = _complement_in(meet_12, common, tol)
 
-    inside_1 = meet(e1, join_23, tol)
-    inside_2 = meet(e2, join_13, tol)
-    inside_3, total, _ = _meet_join(e3, join_12, tol)
-
-    single_1 = _complement_in(e1, inside_1, tol)
-    single_2 = _complement_in(e2, inside_2, tol)
-    single_3 = _complement_in(e3, inside_3, tol)
+    single_1, inside_1, _ = _split(e1, _beyond(join_23, factors_23), tol)
+    single_2, inside_2, _ = _split(e2, _beyond(join_13, factors_13), tol)
+    single_3, inside_3, outside = _split(e3, _beyond(join_12, factors_12), tol)
+    total = join_12.dim + single_3.dim
 
     # The triangle part of E3: what is inside E1 + E2 beyond the parts E3
     # shares with E1 and with E2 individually.
     shared_3 = join(meet_13, meet_23, tol)
     triangle_3 = _complement_in(inside_3, shared_3, tol)
-    outside = complement(total)
 
     # Modular law: dim E_i ∩ (E_j + E_k) = d_i + dim(E_j + E_k) - dim(E1 + E2 + E3),
-    # of which k lie beyond meet_ij + meet_ik (for E3, k is read that way);
-    # for E3 it holds by construction, as inside_3 and total share one SVD.
+    # the total being dim(E1 + E2) plus the rank of E3's split.
+    for i, (others, inside) in enumerate(((join_23, inside_1), (join_13, inside_2), (join_12, inside_3))):
+        expected = system.subspaces[i].dim + others.dim - total
+        if inside.dim != expected:
+            raise ConditioningError(
+                f"E{i + 1} meets the other two in {inside.dim} dimensions, the modular "
+                f"law demands {expected}; rank decisions were inconsistent"
+            )
+    # Of each intersection, k lie beyond meet_ij + meet_ik (for E3, k is read that way).
     k = triangle_3.dim
     excess_1 = inside_1.dim - meet_12.dim - meet_13.dim + common.dim
     excess_2 = inside_2.dim - meet_12.dim - meet_23.dim + common.dim
@@ -253,13 +272,6 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
             f"triangle multiplicities disagree across the three subspaces "
             f"({excess_1}, {excess_2}, {k}); rank decisions were inconsistent"
         )
-    for i, others, inside in ((0, join_23, inside_1), (1, join_13, inside_2)):
-        expected = system.subspaces[i].dim + others.dim - total.dim
-        if inside.dim != expected:
-            raise ConditioningError(
-                f"E{i + 1} meets the other two in {inside.dim} dimensions, the modular "
-                f"law demands {expected}; rank decisions were inconsistent"
-            )
 
     return {
         "common": common,
@@ -274,6 +286,38 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "join_12": join_12,
         "factors_12": factors_12,
     }
+
+
+def _beyond(joined: Subspace, factors) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of a pair's join: the
+    trailing left singular vectors of the pair's full SVD, or, when a side
+    was zero and no SVD was taken, the complement of the other side."""
+    return complement(joined).basis if factors is None else factors[0][:, joined.dim:]
+
+
+def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
+    """``(single, inside, outside)`` of E against a subspace J, given an
+    orthonormal basis C of J^⊥: single is the orthogonal complement of
+    E ∩ J in E, inside is E ∩ J, and outside the complement of E + J.
+
+    One SVD of C^H B_E = U S V^H decides all three.  Its singular values
+    are the sines of the principal angles between E and J, so a vector of E
+    lies in J exactly where C^H B_E vanishes: the null right vectors give
+    E ∩ J, the others single (B_E V, polished by QR), and C times the left
+    vectors past the rank spans the complement of E + J.  Sines have an
+    absolute meaning and are decided with ``scale=2.0``, which puts the
+    cutoff at the angle 2 ``rank_rtol``, where the relative rule of the
+    pair SVD puts it for [B_a | B_b] (singular values sqrt(2) sin(t/2),
+    largest up to sqrt(2))."""
+    n, m = beyond.shape
+    if m == 0:  # J is everything and holds E
+        return Subspace.zero(n), e, Subspace.zero(n)
+    if e.dim == 0:
+        return e, e, Subspace(beyond)
+    u, s, vh = np.linalg.svd(beyond.conj().T @ e.basis, full_matrices=True)
+    rank = _numerical_rank(s, tol, scale=2.0)
+    single, _ = np.linalg.qr(e.basis @ vh[:rank].conj().T)
+    return Subspace(single), Subspace(e.basis @ vh[rank:].conj().T), Subspace(beyond @ u[:, rank:])
 
 
 def _complement_in(whole: Subspace, part: Subspace, tol: ToleranceConfig) -> Subspace:

@@ -24,7 +24,8 @@ take the count the lattice already decided.
 Conditioning notes have one emitter, ``_note``: inside ``_collect_notes``
 it appends to that call's list, kept per thread and task in a context
 variable; anywhere else it issues a :class:`ConditioningWarning` from the
-first line outside the package, the one that called into it.
+first line outside the package, the one that called into it, or from the
+package module that runs as ``__main__``.
 """
 
 from __future__ import annotations
@@ -107,11 +108,14 @@ _PACKAGE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "")
 def _note(message: str):
     """Append a conditioning note to the active collector, or else warn from
     the first frame outside the package directory, as Python 3.12's
-    ``skip_file_prefixes`` would (3.10 and 3.11 need the walk done here)."""
+    ``skip_file_prefixes`` would (3.10 and 3.11 need the walk done here).
+    A package module run as ``__main__`` (``python -m subspacekit.cli``)
+    ends the walk too: past it lies only the interpreter's runpy."""
     sink = _NOTES.get()
     if sink is None:
         frame, level = sys._getframe(1), 2
-        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        while (frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+               and frame.f_globals.get("__name__") != "__main__"):
             frame, level = frame.f_back, level + 1
         warnings.warn(message, ConditioningWarning, stacklevel=level)
     else:
@@ -290,12 +294,14 @@ def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
     meet from the null right ones, each a pair (x; y) with B_a x = -B_b y in
     both.  ``factors`` is the SVD's own ``(u, s, vh)``, whose ``s`` holds
     the pair's principal angles; it is None when a side is zero, which
-    needs no SVD."""
+    needs no SVD.  The SVD is full, so ``u`` is square and, for the join's
+    rank r, ``u[:, r:]`` is an orthonormal basis of the join's orthogonal
+    complement."""
     _require_same_ambient(a, b)
     n, k = a.ambient_dim, a.dim + b.dim
     if a.dim == 0 or b.dim == 0:  # an orthonormal basis decides its own rank
         return Subspace.zero(n), b if a.dim == 0 else a, None
-    u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=k > n)
+    u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=True)
     rank = _numerical_rank(s, tol)
     joined = Subspace(u[:, :rank])
     if rank == k:

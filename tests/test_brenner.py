@@ -21,13 +21,17 @@ from subspacekit import (
     brenner,
     brenner_decompose,
     brenner_invariants,
+    complement,
+    complement_within,
     compose_from_multiplicities,
     direct_sum,
     gap,
     haar_unitary,
     is_isomorphic_three,
     isomorphism_between,
+    join,
     map_system,
+    meet,
     normalize_double_triangle,
     orthonormalize,
     remark_example,
@@ -233,8 +237,9 @@ class TestSkeletonChecks:
     dimensions it has already decided, at no extra factorization."""
 
     def test_factorizations_per_call(self, monkeypatch):
-        # one SVD per pair for both its meet and its join, and the oblique
-        # split and the restricted sum operator reuse the SVD of (E1, E2)
+        # one SVD per pair for its meet, its join and the join's complement;
+        # one small SVD splits each E_i against the opposite join, and the
+        # oblique split and the restricted sum operator reuse the SVD of (E1, E2)
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
         decomposition = brenner_decompose(system)
         calls = []
@@ -246,8 +251,8 @@ class TestSkeletonChecks:
             run()
             return len(calls)
 
-        assert count(lambda: brenner_invariants(system)) == 16
-        assert count(lambda: brenner_decompose(system)) == 23
+        assert count(lambda: brenner_invariants(system)) == 12
+        assert count(lambda: brenner_decompose(system)) == 19
         assert count(lambda: verify_brenner(system, decomposition)) == 7
 
     def test_certification_runs_once_per_decomposition(self, monkeypatch):
@@ -274,7 +279,7 @@ class TestSkeletonChecks:
             run()
             return dict(calls)
 
-        assert count(lambda: brenner._invariants_and_witness(a, b, DEFAULT_TOL)) == {"svd": 38, "solve": 0, "inv": 1}
+        assert count(lambda: brenner._invariants_and_witness(a, b, DEFAULT_TOL)) == {"svd": 30, "solve": 0, "inv": 1}
         assert count(lambda: brenner_decompose(a))["solve"] == 0
         assert count(lambda: brenner_decompose(b))["solve"] == 0
 
@@ -293,39 +298,40 @@ class TestSkeletonChecks:
         assert sum(part.dim for part in witness.split) == system.ambient_dim
 
     def test_lost_direction_of_first_inside_part(self, monkeypatch):
-        # E1 ∩ (E2 + E3) comes out one dimension short
+        # E1 ∩ (E2 + E3), the null part of E1's split, comes out one
+        # dimension short
         system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
         e1 = system.subspaces[0]
-        meet = brenner.meet
+        split = brenner._split
 
-        def lossy(a, b, tol):
-            result = meet(a, b, tol)
-            if a is e1 and all(b is not e for e in system.subspaces):
-                return drop_last_direction(result)
-            return result
+        def lossy(e, beyond, tol):
+            single, inside, outside = split(e, beyond, tol)
+            if e is e1:
+                return single, drop_last_direction(inside), outside
+            return single, inside, outside
 
-        monkeypatch.setattr(brenner, "meet", lossy)
-        with pytest.raises(ConditioningError):
-            brenner_invariants(system)
-
-    def test_lost_direction_of_total_sum(self, monkeypatch):
-        # E1 + E2 + E3 comes out one dimension short; unchecked, the
-        # outside part would silently gain a dimension
-        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
-        e3 = system.subspaces[2]
-        meet_join = brenner._meet_join
-
-        def lossy(a, b, tol):
-            inside, total, factors = meet_join(a, b, tol)
-            if a is e3 and all(b is not e for e in system.subspaces):
-                return inside, drop_last_direction(total), factors
-            return inside, total, factors
-
-        monkeypatch.setattr(brenner, "_meet_join", lossy)
+        monkeypatch.setattr(brenner, "_split", lossy)
         with pytest.raises(ConditioningError, match="modular law"):
             brenner_invariants(system)
 
-    @pytest.mark.parametrize("index", [86, 192])
+    def test_lost_direction_of_total_sum(self, monkeypatch):
+        # E1 + E2 + E3, read as E1 + E2 plus the rank of E3's split, comes
+        # out one dimension short
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        e3 = system.subspaces[2]
+        split = brenner._split
+
+        def lossy(e, beyond, tol):
+            single, inside, outside = split(e, beyond, tol)
+            if e is e3:
+                return drop_last_direction(single), inside, outside
+            return single, inside, outside
+
+        monkeypatch.setattr(brenner, "_split", lossy)
+        with pytest.raises(ConditioningError, match="modular law"):
+            brenner_invariants(system)
+
+    @pytest.mark.parametrize("index", [192])
     def test_failed_containment_is_a_conditioning_failure(self, index):
         # a containment that holds by construction fails numerically at
         # scramble condition near 1e10; that is no malformed input
@@ -335,6 +341,18 @@ class TestSkeletonChecks:
             warnings.simplefilter("ignore", ConditioningWarning)
             with pytest.raises(ConditioningError, match="holds by construction"):
                 brenner_decompose(system)
+
+    def test_containment_refused_by_the_pair_route_is_answered(self):
+        # entry 86 at scramble condition up to 1e10: E3 ∩ (E1 + E2) read
+        # off [B_3 | B_{E1+E2}] once failed to contain E3's shared part;
+        # split by sines against (E1 + E2)^⊥ it does, and the answer has
+        # the right invariants, flagged untrusted by its residual
+        vector, seed, cond = corpus_spec(max_cond=1e10)[86]
+        system, _ = compose_from_multiplicities(vector, seed, cond)
+        d = brenner_decompose(system)
+        assert d.invariants == vector
+        assert d.trusted is False
+        assert verify_brenner(system, d).passed
 
     @pytest.mark.parametrize("index", [50, 59, 76, 89, 102, 135])
     def test_skeleton_dimensions_are_not_decided_again(self, index):
@@ -350,6 +368,38 @@ class TestSkeletonChecks:
             passed = verify_brenner(system, d).passed
         assert d.invariants == vector
         assert (passed and d.residual <= 1e-8) or d.trusted is False
+
+
+def lattice_reference(system):
+    """Reference route for the skeleton's singles and outside part: each
+    E_i ∩ (E_j + E_k) by its own meet, single_i as its complement in E_i,
+    and the outside part as the complement of E1 + E2 + E3."""
+    e1, e2, e3 = system.subspaces
+    singles = tuple(
+        complement_within(e, meet(e, join(f, g)))
+        for e, f, g in ((e1, e2, e3), (e2, e1, e3), (e3, e1, e2))
+    )
+    return singles, complement(join(join(e1, e2), e3))
+
+
+class TestSkeletonReference:
+    """The singles and the outside part come off the pair SVDs' join
+    complements; the lattice route agrees with them."""
+
+    @pytest.mark.parametrize("max_cond", [20.0, 1e6])
+    def test_agrees_with_the_lattice_route_on_corpus(self, max_cond):
+        compared = 0
+        for vector, seed, cond in corpus_spec(max_cond=max_cond):
+            system, _ = compose_from_multiplicities(vector, seed, cond)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                pieces = brenner._skeleton(system, DEFAULT_TOL)
+                singles, outside = lattice_reference(system)
+            for name, reference in zip(("single_1", "single_2", "single_3", "outside"), singles + (outside,)):
+                assert pieces[name].dim == reference.dim
+                assert gap(pieces[name], reference) <= DEFAULT_TOL.gap_tol
+                compared += reference.dim > 0
+        assert compared > 400
 
 
 def oblique_split_by_solve(first, second, frame, vectors):

@@ -1,6 +1,10 @@
-"""Command-line interface tests, all in process through cli.main."""
+"""Command-line interface tests, in process through cli.main but for one
+run of ``python -m subspacekit.cli`` in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -319,6 +323,26 @@ class TestAnalyzeRoutes:
             for w in caught
         )
         assert {w.filename for w in caught if issubclass(w.category, ConditioningWarning)} == {__file__}
+
+    def test_module_run_warning_names_the_cli(self, capsys, tmp_path):
+        # Run as ``python -m subspacekit.cli``, cli.py is the __main__
+        # module inside the package: its warnings name cli.py, not the
+        # interpreter's runpy.  Seed 1 at condition 1e9 gives a restricted
+        # sum operator of condition 3.6e10.
+        vector = InvariantVector(1, 1, 1, 1, 1, 1, 1, 2, 1)
+        path = generate(capsys, tmp_path / "warned.json", vector, 1, 1e9)
+        src = os.path.dirname(os.path.dirname(subspacekit.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "subspacekit.cli", "analyze", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0
+        located = [line for line in result.stderr.splitlines() if "ConditioningWarning" in line]
+        assert any("restricted sum operator has condition" in line for line in located)
+        assert all(line.startswith(cli.__file__ + ":") for line in located)
+        assert "runpy" not in result.stderr
 
 
 class TestInputErrors:
