@@ -54,7 +54,6 @@ from .linalg import (
     _meet_join,
     _note,
     _numerical_rank,
-    complement,
     complement_within,
     gap,
     join,
@@ -244,9 +243,9 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     pair_13 = _complement_in(meet_13, common, tol)
     pair_12 = _complement_in(meet_12, common, tol)
 
-    single_1, inside_1, _ = _split(e1, _beyond(join_23, factors_23), tol)
-    single_2, inside_2, _ = _split(e2, _beyond(join_13, factors_13), tol)
-    single_3, inside_3, outside = _split(e3, _beyond(join_12, factors_12), tol)
+    single_1, inside_1, _ = _split(e1, factors_23[0][:, join_23.dim:], tol)
+    single_2, inside_2, _ = _split(e2, factors_13[0][:, join_13.dim:], tol)
+    single_3, inside_3, outside = _split(e3, factors_12[0][:, join_12.dim:], tol)
     total = join_12.dim + single_3.dim
 
     # The triangle part of E3: what is inside E1 + E2 beyond the parts E3
@@ -288,13 +287,6 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     }
 
 
-def _beyond(joined: Subspace, factors) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a pair's join: the
-    trailing left singular vectors of the pair's full SVD, or, when a side
-    was zero and no SVD was taken, the complement of the other side."""
-    return complement(joined).basis if factors is None else factors[0][:, joined.dim:]
-
-
 def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
     """``(single, inside, outside)`` of E against a subspace J, given an
     orthonormal basis C of J^⊥: single is the orthogonal complement of
@@ -308,12 +300,7 @@ def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
     absolute meaning and are decided with ``scale=2.0``, which puts the
     cutoff at the angle 2 ``rank_rtol``, where the relative rule of the
     pair SVD puts it for [B_a | B_b] (singular values sqrt(2) sin(t/2),
-    largest up to sqrt(2))."""
-    n, m = beyond.shape
-    if m == 0:  # J is everything and holds E
-        return Subspace.zero(n), e, Subspace.zero(n)
-    if e.dim == 0:
-        return e, e, Subspace(beyond)
+    largest up to sqrt(2)).  An empty C or E takes the same route."""
     u, s, vh = np.linalg.svd(beyond.conj().T @ e.basis, full_matrices=True)
     rank = _numerical_rank(s, tol, scale=2.0)
     single, _ = np.linalg.qr(e.basis @ vh[:rank].conj().T)

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .brenner import InvariantVector
+from .brenner import _HELD, SLOT_NAMES, InvariantVector
 from .linalg import DEFAULT_TOL, Subspace, ToleranceConfig, orthonormalize
 from .systems import SubspaceSystem, direct_sum, map_system
 
@@ -27,18 +27,6 @@ __all__ = [
     "remark_example",
 ]
 
-# Which of the three subspaces is the full line, per one-dimensional atom.
-_MEMBERSHIP = {
-    1: (False, False, False),
-    2: (True, False, False),
-    3: (False, True, False),
-    4: (False, False, True),
-    5: (True, True, False),
-    6: (True, False, True),
-    7: (False, True, True),
-    8: (True, True, True),
-}
-
 # Atom index housed in each InvariantVector slot, in slot order.
 SLOT_ATOMS = (8, 7, 6, 5, 2, 3, 4, 9, 1)
 
@@ -47,19 +35,18 @@ def atom(index: int) -> SubspaceSystem:
     """The indecomposable system with the given catalog index (1 to 9).
 
     Atoms 1 through 8 live in C^1; atom 9 is the double triangle in C^2
-    (the two coordinate axes and the diagonal).
+    (the two coordinate axes and the diagonal).  A one-dimensional atom
+    is the full line in each subspace that holds its slot's block.
     """
-    if index == 9:
+    if index not in SLOT_ATOMS:
+        raise ValueError(f"atom index must be 1..9, got {index!r}")
+    name = SLOT_NAMES[SLOT_ATOMS.index(index)]
+    if name == "triangle":
         axis_1 = Subspace(np.array([[1.0], [0.0]], dtype=np.complex128))
         axis_2 = Subspace(np.array([[0.0], [1.0]], dtype=np.complex128))
         diagonal = Subspace(np.array([[1.0], [1.0]], dtype=np.complex128) / np.sqrt(2.0))
         return SubspaceSystem.of(axis_1, axis_2, diagonal)
-    if index not in _MEMBERSHIP:
-        raise ValueError(f"atom index must be 1..9, got {index!r}")
-    line = Subspace.full(1)
-    nothing = Subspace.zero(1)
-    parts = tuple(line if inside else nothing for inside in _MEMBERSHIP[index])
-    return SubspaceSystem.of(*parts)
+    return SubspaceSystem.of(*(Subspace.full(1) if name in held else Subspace.zero(1) for held in _HELD))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Orthonormal-basis arithmetic for subspaces of complex inner-product spaces.
 
 A :class:`Subspace` of C^n is stored as an (n, k) matrix with orthonormal
-columns; the zero subspace is the (n, 0) matrix and is a first-class value.
-Projections are derived on demand and never stored.
+columns; the zero subspace is the (n, 0) matrix and is a first-class value:
+it takes the same factorizations as any other subspace, since numpy factors
+arrays with no columns.  Projections are derived on demand and never stored.
 
 A basis keeps the kind of its input: bool, integer and float input is
 stored in float64, any complex input in complex128, decided by the dtype
@@ -172,9 +173,6 @@ def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.nda
     the dtype :func:`_basis_dtype` gives it."""
     matrix = np.asarray(matrix)
     matrix = np.ascontiguousarray(matrix, dtype=_basis_dtype(matrix))
-    n, k = matrix.shape
-    if k == 0:
-        return np.zeros((n, 0), dtype=matrix.dtype)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     return u[:, : _numerical_rank(s, tol, scale=scale)]
 
@@ -189,7 +187,7 @@ class Subspace:
     any complex one in complex128: the dtype decides, not the values.  The
     real basis spans the same subspace of C^n, and the checks are the same
     for both.  Use :func:`orthonormalize` to build a Subspace from
-    arbitrary spanning vectors; it always yields complex128.
+    arbitrary spanning vectors; it yields complex128 for any nonzero span.
     """
 
     basis: np.ndarray
@@ -240,7 +238,9 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=np.complex128))
+        """The zero subspace, stored in float64: its basis holds no values,
+        and stacked with a basis of either kind it keeps that kind."""
+        return cls(np.zeros((ambient_dim, 0)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -293,22 +293,17 @@ def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
     one rank decision: the join from the leading left singular vectors, the
     meet from the null right ones, each a pair (x; y) with B_a x = -B_b y in
     both.  ``factors`` is the SVD's own ``(u, s, vh)``, whose ``s`` holds
-    the pair's principal angles; it is None when a side is zero, which
-    needs no SVD.  The SVD is full, so ``u`` is square and, for the join's
+    the pair's principal angles.  A zero side takes the same route: the
+    other side's singular values are all 1, and with both zero ``u`` is the
+    identity.  The SVD is full, so ``u`` is square and, for the join's
     rank r, ``u[:, r:]`` is an orthonormal basis of the join's orthogonal
     complement."""
     _require_same_ambient(a, b)
-    n, k = a.ambient_dim, a.dim + b.dim
-    if a.dim == 0 or b.dim == 0:  # an orthonormal basis decides its own rank
-        return Subspace.zero(n), b if a.dim == 0 else a, None
     u, s, vh = np.linalg.svd(np.hstack([a.basis, b.basis]), full_matrices=True)
     rank = _numerical_rank(s, tol)
-    joined = Subspace(u[:, :rank])
-    if rank == k:
-        return Subspace.zero(n), joined, (u, s, vh)
     # Each orthonormal null pair has halves of norm exactly 1/sqrt(2).
     q, _ = np.linalg.qr(a.basis @ vh[rank:, : a.dim].conj().T * np.sqrt(2.0))
-    return Subspace(q), joined, (u, s, vh)
+    return Subspace(q), Subspace(u[:, :rank]), (u, s, vh)
 
 
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -352,13 +347,23 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
     u, s, _ = np.linalg.svd(np.ascontiguousarray(residual), full_matrices=False)
     _warn_near_cutoff(s, tol.rank_rtol)
     expected = whole.dim - part.dim
-    kept, dropped = s[:expected].min(initial=1.0), s[expected:].max(initial=0.0)
-    if kept < 0.5 or dropped >= 0.5:
+    unclean = _unclean_split(s, expected)
+    if unclean:
         raise ConditioningError(
-            f"relative complement of dimension {expected} does not split cleanly at 0.5 "
-            f"(singular values kept down to {kept:.3e}, dropped up to {dropped:.3e})"
+            f"relative complement of dimension {expected} does not split cleanly at 0.5 ({unclean})"
         )
     return Subspace(u[:, :expected])
+
+
+def _unclean_split(s: np.ndarray, count: int):
+    """Why the singular values ``s`` of a matrix whose exact values are 0
+    or at least 1 fail to split after the leading ``count`` at 0.5, or None
+    when they split cleanly there.  The count comes from a decision already
+    made, so a value on the wrong side means that decision was fragile."""
+    kept, dropped = s[:count].min(initial=1.0), s[count:].max(initial=0.0)
+    if kept < 0.5 or dropped >= 0.5:
+        return f"singular values kept down to {kept:.3e}, dropped up to {dropped:.3e}"
+    return None
 
 
 def gap(a: Subspace, b: Subspace) -> float:

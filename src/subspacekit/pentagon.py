@@ -130,10 +130,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     third_outside = complement_within(e3, inside, tol)
     quotient = complement_within(inside, e2, tol)  # e2 sits inside both e3 and span_12
     u = quotient.basis
-    if u.shape[1] and factors_12 is not None:
-        v, w = _oblique_split(e1, factors_12, span_12.dim, u)
-    else:  # no witness, or E2 = 0: each witness lies in E1
-        v, w = u, np.zeros_like(u)
+    v, w = _oblique_split(e1, factors_12, span_12.dim, u)
 
     bridge = _part_span(v, tol, "bridge")
 

@@ -30,6 +30,7 @@ from .linalg import (
     _column_span,
     _meet_join,
     _numerical_rank,
+    _unclean_split,
     complement,
     contains,
     gap,
@@ -216,18 +217,14 @@ def hom_basis(source: SubspaceSystem, target: SubspaceSystem, tol: ToleranceConf
     if source.arity != target.arity:
         raise ValueError(f"arity mismatch: {source.arity} vs {target.arity}")
     m, n = target.ambient_dim, source.ambient_dim
-    blocks = []
+    blocks = [np.zeros((0, m * n))]  # no subspaces, no constraint
     for e, f in zip(source.subspaces, target.subspaces):
-        if e.dim == 0 or f.dim == m:
-            continue  # no constraint: the source part is zero or the target part is everything
-        # rows of the constraint: vec(C^H X B) = (B^T kron C^H) vec(X)
+        # rows of the constraint: vec(C^H X B) = (B^T kron C^H) vec(X), none
+        # when E is zero or F is everything
         c = complement(f).basis
         blocks.append(np.kron(e.basis.T, c.conj().T))
-    if blocks:
-        _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
-        null_rows = vh[_numerical_rank(s, tol) :, :].conj()
-    else:  # every map qualifies: the unit matrices, in column-major order
-        null_rows = np.eye(m * n, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
+    null_rows = vh[_numerical_rank(s, tol) :, :].conj()
     maps = tuple(np.reshape(row, (m, n), order="F") for row in null_rows)
     return HomBasis(source, target, maps)
 
@@ -353,16 +350,21 @@ def _accept_idempotent(
     candidate: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
 ) -> Optional[IdempotentWitness]:
     """The witness for a candidate map, or None unless it passes
-    :func:`_idempotent_defect` and its image and kernel fill the ambient
-    space.  Every candidate, however it was produced, passes through here."""
+    :func:`_idempotent_defect` and its kernel splits off cleanly.  Every
+    candidate, however it was produced, passes through here.
+
+    The image is the one rank decision; the kernel takes the count it
+    fixes, n - rank P, as the leading left singular vectors of I - P.  The
+    nonzero singular values of an idempotent are at least 1, so the split
+    must be clean at 0.5, as for :func:`complement_within`."""
     if _idempotent_defect(candidate, system, tol) is not None:
         return None
-    n = system.ambient_dim
-    image = _column_span(candidate, tol)
-    kernel_side = _column_span(np.eye(n) - candidate, tol)
-    if image.shape[1] + kernel_side.shape[1] != n:
+    image = Subspace(_column_span(candidate, tol))
+    kernel_dim = system.ambient_dim - image.dim
+    u, s, _ = np.linalg.svd(np.eye(system.ambient_dim) - candidate, full_matrices=False)
+    if _unclean_split(s, kernel_dim):
         return None
-    return IdempotentWitness(map=candidate, split=(Subspace(image), Subspace(kernel_side)))
+    return IdempotentWitness(map=candidate, split=(image, Subspace(u[:, :kernel_dim])))
 
 
 def split_by_idempotent(
@@ -404,12 +406,16 @@ def split_by_idempotent(
         # basis columns are unit vectors, so a vanished component is noise
         # at scale 1; a relative cutoff would promote it to a dimension
         inside_1 = _column_span(p @ s.basis, tol, scale=1.0)
-        inside_2 = _column_span(s.basis - p @ s.basis, tol, scale=1.0)
-        if inside_1.shape[1] + inside_2.shape[1] != s.dim:
+        # I - p is idempotent on s as well; the rest of s takes the count
+        # inside_1 leaves, as the kernel of _accept_idempotent does
+        rest = s.dim - inside_1.shape[1]
+        u, sigma, _ = np.linalg.svd(s.basis - p @ s.basis, full_matrices=False)
+        unclean = _unclean_split(sigma, rest)
+        if unclean:
             raise ConditioningError(
-                "subspace does not split along the idempotent within tolerance "
-                f"({inside_1.shape[1]} + {inside_2.shape[1]} != {s.dim})"
+                f"subspace does not split along the idempotent within tolerance ({unclean})"
             )
+        inside_2 = u[:, :rest]
         first_parts.append(_in_carrier_coords(inside_1, h1))
         second_parts.append(_in_carrier_coords(inside_2, h2))
     sys1 = SubspaceSystem(h1.dim, tuple(first_parts), system.labels)
@@ -420,10 +426,7 @@ def split_by_idempotent(
 def _in_carrier_coords(columns: np.ndarray, carrier: Subspace) -> Subspace:
     if carrier.dim == 0:
         raise ConditioningError("a split part landed in a zero carrier")
-    coords = carrier.basis.conj().T @ columns
-    if coords.shape[1] == 0:
-        return Subspace.zero(carrier.dim)
-    coords, _ = np.linalg.qr(coords)
+    coords, _ = np.linalg.qr(carrier.basis.conj().T @ columns)
     return Subspace(coords)
 
 
@@ -480,8 +483,6 @@ def _stacked_rank(subspaces, tol: ToleranceConfig) -> int:
     """Numerical rank of the concatenated bases, the one route for every
     independence and spanning test on a family of subspaces."""
     stacked = np.hstack([s.basis for s in subspaces])
-    if stacked.shape[1] == 0:
-        return 0
     return _numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
 
 

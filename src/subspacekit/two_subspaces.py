@@ -39,8 +39,8 @@ from .linalg import (
     ToleranceConfig,
     _column_span,
     _meet_join,
+    _unclean_split,
     _warn_near_cutoff,
-    complement,
     join,
 )
 
@@ -101,8 +101,6 @@ class SumOperatorReport:
 def polish_near_orthonormal(columns: np.ndarray) -> np.ndarray:
     """QR-polish columns that are orthonormal up to rounding, preserving
     each column's direction (QR is free to flip phases; undo that)."""
-    if columns.shape[1] == 0:
-        return columns
     q, r = np.linalg.qr(columns)
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
@@ -126,9 +124,11 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
       and ``only_second`` by the halves of its right singular vectors;
     * phi > pi/2 + eps: the partner of a shared or generic value, counted.
 
-    ``in_neither`` is the complement of the left singular vectors of the
-    values that are not shared: the complement of the join, plus the
-    partners of the angles folded into ``in_both``.  Raises
+    ``in_neither`` is spanned by the left singular vectors after those of
+    the values that are not shared: the complement of the join, plus the
+    partners of the angles folded into ``in_both``.  A zero side takes the
+    same route: the other side's singular values are all 1, phi = pi/2, so
+    that side is all its own only-one part.  Raises
     :class:`ConditioningError` when the counts disagree or the only-one
     cluster does not split cleanly at 0.5, both of which signal decisions
     too close to ``eps``.
@@ -138,15 +138,10 @@ def halmos_decompose(first: Subspace, second: Subspace, tol: ToleranceConfig = D
 
 def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceConfig) -> TwoSubspaceDecomposition:
     """:func:`halmos_decompose` on the pair's ``_meet_join`` result."""
-    in_both, joined, factors = meet_join
-    if factors is None:  # a zero side: the other one is all its own part
-        zero = Subspace.zero(first.ambient_dim)
-        return TwoSubspaceDecomposition(zero, first, second, complement(joined), zero, np.zeros(0), zero.basis)
-
-    u, s, vh = factors
+    in_both, joined, (u, s, vh) = meet_join
     p, k = first.dim, vh.shape[0]
     phi = 2.0 * np.arcsin(np.minimum(np.pad(s, (0, k - s.size)) / np.sqrt(2.0), 1.0))
-    eps = max(ANGLE_EPS, 2.0 * tol.rank_rtol * float(s[0]))
+    eps = max(ANGLE_EPS, 2.0 * tol.rank_rtol * float(s.max(initial=0.0)))
     distance = np.minimum(phi, np.abs(phi - np.pi / 2.0))
     _warn_near_cutoff(distance, eps, "angle(s) from 0 or pi/2", "the angle threshold", "part")
     # phi descends, so the four classes are consecutive runs
@@ -166,7 +161,7 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
         # their left singular vectors, the partners x - y, in the join
         q, _ = np.linalg.qr(np.sqrt(2.0) * first.basis @ vh[k - shared:, :p].conj().T)
         in_both = Subspace(q)
-    in_neither = complement(Subspace(u[:, : k - shared]))
+    in_neither = Subspace(u[:, k - shared:])
 
     # The cluster's a-halves have singular values 1 on only_first and 0 on
     # only_second, and the b-halves of the rotated cluster vectors are
@@ -174,12 +169,9 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
     cluster = vh[plus : plus + right].conj().T
     directions, sigma, rotation = np.linalg.svd(cluster[:p], full_matrices=True)
     sigma = np.pad(sigma, (0, right - sigma.size))
-    kept, dropped = sigma[:first_only].min(initial=1.0), sigma[first_only:].max(initial=0.0)
-    if kept < 0.5 or dropped >= 0.5:
-        raise ConditioningError(
-            f"only-one parts do not split cleanly at 0.5 "
-            f"(singular values kept down to {kept:.3e}, dropped up to {dropped:.3e})"
-        )
+    unclean = _unclean_split(sigma, first_only)
+    if unclean:
+        raise ConditioningError(f"only-one parts do not split cleanly at 0.5 ({unclean})")
     only_first = Subspace(first.basis @ directions[:, :first_only])
     rest = cluster[p:] @ rotation[first_only:].conj().T / np.sqrt(1.0 - sigma[first_only:] ** 2)
     only_second = Subspace(second.basis @ rest)
@@ -250,11 +242,11 @@ def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceCon
     and the parts come off the one SVD of [B_1 | B_2].
     """
     meet_join = _meet_join(first, second, tol)
-    _, joined, factors = meet_join
+    _, joined, (_, s, _) = meet_join
     if joined.dim == 0:
         raise ValueError("the restricted sum operator needs a nonzero sum")
-    # a zero side leaves the identity; kept values clear the cutoff, so sigma_min > 0
-    spectrum = np.ones(1) if factors is None else factors[1][: joined.dim] ** 2
+    # kept values clear the rank cutoff, so sigma_min > 0
+    spectrum = s[: joined.dim] ** 2
     sigma_max, sigma_min = float(spectrum[0]), float(spectrum[-1])
 
     parts = _halmos_parts(first, second, meet_join, tol)

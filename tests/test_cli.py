@@ -273,6 +273,25 @@ class TestAnalyzeRoutes:
         assert report["decomposable"] is True
         assert sum(report["split_dims"]) == vector.total_dim
 
+    def test_witness_kernel_takes_the_count_of_its_image(self, capsys, tmp_path):
+        # The block projector here is idempotent to 1.6e-10: inside
+        # residual_tol, but over the rank cutoff, so a rank decision of its
+        # own on I - P would keep all n directions.  The kernel, and each
+        # subspace's kernel part, take the count the image leaves.
+        vector = InvariantVector(1, 2, 3, 1, 1, 2, 3, 3, 2)
+        path = generate(capsys, tmp_path / "defect.json", vector, 17326, 1e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            code, out, err = run(capsys, "analyze", path)
+            assert code == 0, err
+            report = json.loads(out)
+            system, tol = cli._load_system(path, {})
+            witness = brenner._atom_idempotent(system, brenner_decompose(system, tol), tol)
+            first, second = split_by_idempotent(system, witness, tol)
+        assert report["decomposable"] is True
+        assert report["split_dims"] == [1, 20]
+        assert brenner_invariants(first) + brenner_invariants(second) == vector
+
     def test_double_triangle_read_off_the_decomposition(self, capsys, monkeypatch, remark_file, tmp_path):
         triangles = InvariantVector(0, 0, 0, 0, 0, 0, 0, 2, 0)
         path = generate(capsys, tmp_path / "triangles.json", triangles, 3, 8.0)

@@ -13,6 +13,7 @@ from subspacekit import (
     diagonal_graph_pair,
     example9_truncated,
     gap,
+    haar_unitary,
     join,
     margin_sample_points,
     meet,
@@ -128,6 +129,20 @@ class TestPentagonSplit:
         assert np.array_equal(split.second_components, np.zeros((3, 1)))
         assert same_subspace(split.bridge, e3)
         assert same_subspace(split.first_remainder, line(1, -1, 0))
+
+    def test_zero_second_subspace_in_a_turned_basis(self):
+        # E2 = 0 takes the pair SVD of (E1, 0), whose pseudo-inverse lifts
+        # each witness onto itself up to rounding
+        turn = haar_unitary(3, np.random.default_rng(7))
+        e1, e3 = Subspace(turn[:, :2]), Subspace(turn @ np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0))
+        split = pentagon_split(SubspaceSystem.of(e1, Subspace.zero(3), e3))
+        assert split.case == CASE_DISTRIBUTIVE
+        assert split.witness_count == 1
+        assert np.abs(split.first_components - split.quotient_vectors).max() <= 1e-12
+        assert np.abs(split.second_components).max() <= 1e-12
+        assert same_subspace(split.bridge, e3)
+        remainder = Subspace(turn @ np.array([[1.0], [-1.0], [0.0]]) / np.sqrt(2.0))
+        assert same_subspace(split.first_remainder, remainder)
 
     def test_lifts_without_a_solve(self, monkeypatch):
         # the oblique split lifts by the SVD that gives E1 + E2

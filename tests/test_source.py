@@ -246,6 +246,27 @@ def test_detects_a_solve_and_a_sum_operator_matrix(tmp_path):
     ]
 
 
+def test_complements_come_off_the_pair_svd():
+    # the join complements of the skeleton and the in_neither part are
+    # read off a pair SVD's full u; an n x n SVD of one basis serves only
+    # the constraints of hom_basis
+    assert package_calls("complement") == [("systems.py", "hom_basis")]
+
+
+def test_detects_a_second_complement(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from . import linalg\n"
+        "from .linalg import complement as perp\n"
+        "def _beyond(joined, factors):\n"
+        "    return linalg.complement(joined) if factors is None else factors[0]\n"
+        "def _halmos_parts(u, k):\n"
+        "    return perp(Subspace(u[:, :k]))\n"
+    )
+    calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == "complement"]
+    assert calls == [("_beyond", 4), ("_halmos_parts", 6)]
+
+
 def indented_json_writes(path: Path) -> list:
     """Calls of ``json.dump`` or ``json.dumps`` that pass ``indent``, or
     unpack keywords that may hold it, as ``(enclosing function, line)``.

@@ -92,6 +92,7 @@ class TestHom:
         basis = hom_basis(empty, SubspaceSystem.of(Subspace.zero(3)))
         assert basis.dim == 6  # all 3x2 matrices
         assert hom_basis(SubspaceSystem.of(Subspace.full(2)), full).dim == 6
+        assert hom_basis(SubspaceSystem(2, ()), SubspaceSystem(3, ())).dim == 6
 
     def test_hom_members_are_morphisms(self):
         rng = np.random.default_rng(8)

@@ -198,15 +198,15 @@ class TestOneSpectrum:
         assert part_dims(dec) == dims
 
     def test_factorizations_per_call(self, monkeypatch):
-        # the pair SVD, the complement of the join and the split of the
-        # only-one cluster
+        # the pair SVD, whose full u also spans in_neither, and the split
+        # of the only-one cluster
         first, second = planted_pair(np.random.default_rng(3), np.array([0.3, 0.9]), 1, 1, 2, 1)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         dec = halmos_decompose(first, second)
         assert part_dims(dec) == (1, 1, 2, 1, 2)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("seed", range(200))
     def test_parts_are_the_lattice_expressions(self, seed):
@@ -301,7 +301,38 @@ class TestSumOperator:
             monkeypatch.setattr(np.linalg, name, counted)
         rep = restricted_sum_operator(first, second)
         assert rep.angles.size == 3
-        assert calls == {"svd": 3, "det": 0}
+        assert calls == {"svd": 2, "det": 0}
+
+
+class TestZeroSides:
+    """A zero side takes the pair SVD like any other: the other side is
+    its own only-one part, in_neither its complement, and a real side keeps
+    every result real."""
+
+    @pytest.mark.parametrize("dims", [(0, 2), (3, 0), (0, 0)], ids=["first", "second", "both"])
+    def test_parts_of_a_pair_with_a_zero_side(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        first, second = (
+            Subspace(np.linalg.qr(rng.standard_normal((5, d)))[0]) if d else Subspace.zero(5) for d in dims
+        )
+        joined = join(first, second)
+        dec = halmos_decompose(first, second)
+        assert part_dims(dec) == (0, first.dim, second.dim, 5 - sum(dims), 0)
+        assert same_subspace(joined, second if first.is_zero else first)
+        assert same_subspace(dec.only_first, first) and same_subspace(dec.only_second, second)
+        assert same_subspace(dec.in_neither, complement(joined))
+        parts = [meet(first, second), joined]
+        parts += [dec.in_both, dec.only_first, dec.only_second, dec.in_neither, dec.generic]
+        assert [part.basis.dtype for part in parts] == [np.float64] * 7
+        assert dec.generic_frame.dtype == np.float64
+
+    @pytest.mark.parametrize("dims", [(0, 2), (3, 0)], ids=["first", "second"])
+    def test_sum_operator_of_a_pair_with_a_zero_side(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        first, second = (random_subspace(rng, 5, d) for d in dims)
+        rep = restricted_sum_operator(first, second)
+        assert abs(rep.sigma_min - 1.0) <= 1e-12 and abs(rep.sigma_max - 1.0) <= 1e-12
+        assert rep.angles.size == 0 and rep.per_angle_determinants.size == 0
 
 
 @given(
