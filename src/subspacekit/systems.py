@@ -4,10 +4,11 @@ A :class:`SubspaceSystem` is an ambient dimension together with an ordered
 tuple of subspaces of that ambient space.  Morphisms between systems are
 the linear maps carrying the i-th subspace of the source into the i-th
 subspace of the target; :func:`hom_basis` computes a basis of that space by
-nullspace extraction, and transitivity and the idempotent search are built
-on top of it.  Its constraint matrix has n^2 columns, so the command line
-uses it only for systems of other than three subspaces; for three it reads
-the same facts off the Brenner decomposition.
+solving its largest constraint exactly and extracting the null space of the
+rest, and transitivity and the idempotent search are built on top of it.
+That null space still has up to n^2 coordinates, so the command line uses
+it only for systems of other than three subspaces; for three it reads the
+same facts off the Brenner decomposition.
 
 Decomposability is handled the honest way round: a system is declared
 decomposable only by exhibiting a nontrivial idempotent endomorphism, and
@@ -209,24 +210,48 @@ def restrict_system(system: SubspaceSystem, carrier: Subspace, tol: ToleranceCon
 def hom_basis(source: SubspaceSystem, target: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> HomBasis:
     """Orthonormal basis of Hom(source, target).
 
-    A map X qualifies when (I - P_Fi) X restricted to E_i vanishes for
-    every index i.  Stacking those conditions on the column-major
-    vectorization of X gives one linear system; its nullspace, extracted
-    with the shared rank rule, is the morphism space.
+    A map X from C^n to C^m qualifies when C_i^H X B_i = 0 for every index
+    i, where B_i is a basis of E_i (dimension d_i) and C_i one of the
+    orthogonal complement of F_i (dimension f_i): (m - f_i) d_i linear
+    conditions on X.  The constraint k with the most of them, r, is solved
+    exactly.  In the unitary bases U = [B_k | B_k^perp] of C^n and
+    V = [B_Fk | C_k] of C^m, X = V Y U^H meets it exactly when the block
+    Y[f_k:, :d_k] vanishes.  Every other constraint j becomes
+    (U^H B_j)^T kron (C_j^H V) on the mn - r free entries of Y, and one SVD
+    of that (R - r) x (mn - r) stack, for R conditions in all, gives their
+    null space.  Its rank is decided at scale max(1, sigma_max), never
+    below the scale of the full stack of all R conditions, where
+    constraint k alone has singular values 1: the reduced stack is
+    numerically zero when constraint k implies the others, and a cutoff
+    relative to its own largest value would count its rounding as rank.
+    The change of variables is unitary, so the maps V Y U^H are orthonormal
+    in the Frobenius inner product.
     """
     if source.arity != target.arity:
         raise ValueError(f"arity mismatch: {source.arity} vs {target.arity}")
     m, n = target.ambient_dim, source.ambient_dim
-    blocks = [np.zeros((0, m * n))]  # no subspaces, no constraint
-    for e, f in zip(source.subspaces, target.subspaces):
-        # rows of the constraint: vec(C^H X B) = (B^T kron C^H) vec(X), none
-        # when E is zero or F is everything
-        c = complement(f).basis
-        blocks.append(np.kron(e.basis.T, c.conj().T))
+    # no subspaces: a zero one constrains nothing
+    pairs = list(zip(source.subspaces, target.subspaces)) or [(Subspace.zero(n), Subspace.zero(m))]
+    k = max(range(len(pairs)), key=lambda i: (m - pairs[i][1].dim) * pairs[i][0].dim)
+    e_k, f_k = pairs[k]
+    # the complement of every F_i, and of E_k unless it is F_k
+    perps = [complement(side).basis for side in [f for _, f in pairs] + ([] if e_k is f_k else [e_k])]
+    e_perp = perps[k] if e_k is f_k else perps[-1]
+    u, v = np.hstack([e_k.basis, e_perp]), np.hstack([f_k.basis, perps[k]])
+    # the column-major entries of Y outside its block Y[f_k:, :d_k]
+    free = np.ones((m, n), dtype=bool)
+    free[f_k.dim :, : e_k.dim] = False
+    free = free.ravel(order="F")
+    blocks = [np.zeros((0, np.count_nonzero(free)))]
+    for j, ((e, _), c) in enumerate(zip(pairs, perps)):
+        if j != k:
+            blocks.append(np.kron((u.conj().T @ e.basis).T, c.conj().T @ v)[:, free])
     _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
-    null_rows = vh[_numerical_rank(s, tol) :, :].conj()
-    maps = tuple(np.reshape(row, (m, n), order="F") for row in null_rows)
-    return HomBasis(source, target, maps)
+    null = vh[_numerical_rank(s, tol, scale=s.max(initial=1.0)) :].conj()
+    y = np.zeros((null.shape[0], m * n), dtype=null.dtype)
+    y[:, free] = null
+    maps = v @ y.reshape(-1, n, m).transpose(0, 2, 1) @ u.conj().T
+    return HomBasis(source, target, tuple(maps))
 
 
 def is_transitive(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -221,12 +221,12 @@ class TestAnalyzeRoutes:
             # is_transitive and find_nontrivial_idempotent, sharing one hom basis
             endos = hom_basis(system, system)
             searched = systems._search_idempotent(system, endos, DEFAULT_TOL, systems._SEARCH_TRIALS, 0)
-            kronecker = (endos.dim == 1, searched is not None)
-            if (report["transitive"], report["decomposable"]) != kronecker:
+            by_hom = (endos.dim == 1, searched is not None)
+            if (report["transitive"], report["decomposable"]) != by_hom:
                 problems.append(f"system {i}: analyze {report['transitive'], report['decomposable']}, "
-                                f"Kronecker route {kronecker}")
-            if kronecker != (not decomposable, decomposable):
-                problems.append(f"system {i}: {vector.total_atoms} atoms, Kronecker route {kronecker}")
+                                f"hom_basis route {by_hom}")
+            if by_hom != (not decomposable, decomposable):
+                problems.append(f"system {i}: {vector.total_atoms} atoms, hom_basis route {by_hom}")
             if report["double_triangle"] != detect_double_triangle(system):
                 problems.append(f"system {i}: double_triangle {report['double_triangle']}")
             if not decomposable:

@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subspacekit import (
+    DEFAULT_TOL,
+    SLOT_ATOMS,
+    SLOT_NAMES,
     ConditioningError,
     IdempotentWitness,
     Subspace,
     SubspaceSystem,
     are_linearly_independent,
     atom,
+    complement,
+    compose_from_multiplicities,
     detect_double_triangle,
     detect_pentagon,
     direct_sum,
@@ -26,7 +31,8 @@ from subspacekit import (
     split_by_idempotent,
     verify_isomorphism,
 )
-from conftest import random_subspace
+from subspacekit.linalg import _numerical_rank
+from conftest import corpus_spec, random_subspace
 
 
 def line(*entries):
@@ -121,6 +127,126 @@ class TestHom:
         assert is_transitive(atom(5))
         assert not is_transitive(direct_sum(atom(9), atom(9)))
         assert not is_transitive(direct_sum(atom(2), atom(3)))
+
+
+def kronecker_hom(source, target, tol=DEFAULT_TOL):
+    """Reference basis of Hom(source, target): the null space of all the
+    constraints (B_i^T kron C_i^H) vec(X) = 0 stacked, from one SVD of
+    the whole n^2-column stack at the relative rank rule."""
+    m, n = target.ambient_dim, source.ambient_dim
+    blocks = [np.zeros((0, m * n))]
+    for e, f in zip(source.subspaces, target.subspaces):
+        blocks.append(np.kron(e.basis.T, complement(f).basis.conj().T))
+    _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
+    return [np.reshape(row, (m, n), order="F") for row in vh[_numerical_rank(s, tol) :].conj()]
+
+
+def map_space(maps, m, n):
+    """The span of a list of m x n maps as a subspace of C^(mn)."""
+    return Subspace(np.array([x.ravel() for x in maps]).T) if maps else Subspace.zero(m * n)
+
+
+def random_hom_pair(seed):
+    """Source and target systems of one arity 0-4 in C^n and C^m, m and n
+    from 1 to 5, with zero and full members among the random ones."""
+    rng = np.random.default_rng(seed)
+    m, n, arity = (int(x) for x in rng.integers([1, 1, 0], [6, 6, 5]))
+    source = SubspaceSystem(n, tuple(random_subspace(rng, n, int(rng.integers(0, n + 1))) for _ in range(arity)))
+    target = SubspaceSystem(m, tuple(random_subspace(rng, m, int(rng.integers(0, m + 1))) for _ in range(arity)))
+    return source, target
+
+
+def four_equal_planes():
+    plane = random_subspace(np.random.default_rng(6), 6, 3)
+    return SubspaceSystem.of(plane, plane, plane, plane)
+
+
+# Brenner's table: the index sets of the distributive atoms, and h(a, b) =
+# dim Hom(atom a, atom b) over the nine atoms, the triangle among them.
+INDEX_SETS = {"common": {1, 2, 3}, "pair_23": {2, 3}, "pair_13": {1, 3}, "pair_12": {1, 2},
+              "single_1": {1}, "single_2": {2}, "single_3": {3}, "outside": set()}
+
+
+def atom_hom_dim(a, b):
+    if a == b == "triangle":
+        return 1
+    if b == "triangle":
+        return max(0, 2 - len(INDEX_SETS[a]))
+    if a == "triangle":
+        return max(0, 2 - (3 - len(INDEX_SETS[b])))
+    return int(INDEX_SETS[a] <= INDEX_SETS[b])
+
+
+def table_end_dim(vector):
+    counts = dict(zip(SLOT_NAMES, vector.as_tuple()))
+    return sum(counts[a] * counts[b] * atom_hom_dim(a, b) for a in SLOT_NAMES for b in SLOT_NAMES)
+
+
+class TestHomRoute:
+    """hom_basis solves its largest constraint exactly and takes one SVD of
+    the others, against the full Kronecker stack as reference."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_agrees_with_kronecker_stack(self, seed):
+        source, target = random_hom_pair(seed)
+        m, n = target.ambient_dim, source.ambient_dim
+        basis = hom_basis(source, target)
+        reference = kronecker_hom(source, target)
+        assert basis.dim == len(reference)
+        flat = np.array([x.ravel() for x in basis.maps]).reshape(basis.dim, m * n)
+        assert np.abs(flat.conj() @ flat.T - np.eye(basis.dim)).max(initial=0.0) <= 1e-12
+        for x in basis.maps:
+            for e, f in zip(source.subspaces, target.subspaces):
+                image = x @ e.basis
+                assert np.linalg.norm(image - f.basis @ (f.basis.conj().T @ image)) <= 1e-8
+        assert gap(map_space(list(basis.maps), m, n), map_space(reference, m, n)) <= DEFAULT_TOL.gap_tol
+
+    def test_sample_covers_the_edge_cases(self):
+        pairs = [random_hom_pair(seed) for seed in range(60)]
+        assert any(s.ambient_dim != t.ambient_dim for s, t in pairs)
+        assert any(s.arity == 0 for s, _ in pairs)
+        members = [x for s, t in pairs for x in s.subspaces + t.subspaces]
+        assert any(x.is_zero for x in members) and any(x.is_full for x in members)
+
+    def test_implied_constraints_leave_a_zero_stack(self):
+        # X E = E once is X E = E four times: the three repeats reduce to a
+        # stack of rounding, which a relative cutoff would read as rank
+        system = four_equal_planes()
+        basis = hom_basis(system, system)
+        assert basis.dim == 36 - 9 == len(kronecker_hom(system, system))
+
+    @pytest.mark.parametrize("max_cond", [20.0, 1e6])
+    def test_triples_match_brenner_table(self, max_cond):
+        problems = []
+        for i, (vector, seed, cond) in enumerate(corpus_spec(max_cond=max_cond)):
+            system, _ = compose_from_multiplicities(vector, seed, cond)
+            found, expected = hom_basis(system, system).dim, table_end_dim(vector)
+            if found != expected:
+                problems.append(f"system {i}: dim End {found}, table {expected}")
+        assert problems == []
+
+    def test_table_on_atoms(self):
+        for name_a, a in zip(SLOT_NAMES, SLOT_ATOMS):
+            for name_b, b in zip(SLOT_NAMES, SLOT_ATOMS):
+                assert hom_basis(atom(a), atom(b)).dim == atom_hom_dim(name_a, name_b)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["endomorphisms", "between"])
+    def test_one_svd_of_the_reduced_stack(self, monkeypatch, same):
+        # beyond one complement of each target subspace (and of the chosen
+        # source subspace unless it is the target's), one SVD with
+        # mn - max (m - f_i) d_i columns
+        rng = np.random.default_rng(12)
+        source = SubspaceSystem.of(*(random_subspace(rng, 6, d) for d in (2, 1, 3, 4)))
+        target = source if same else SubspaceSystem.of(*(random_subspace(rng, 4, d) for d in (2, 1, 1, 2)))
+        m, n = target.ambient_dim, source.ambient_dim
+        rows = [(m - f.dim) * e.dim for e, f in zip(source.subspaces, target.subspaces)]
+        k = int(np.argmax(rows))
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+        hom_basis(source, target)
+        complements = [f.basis.shape for f in target.subspaces] + ([] if same else [source.subspaces[k].basis.shape])
+        assert shapes == complements + [(sum(rows) - rows[k], m * n - rows[k])]
 
 
 class TestCommutativity:
