@@ -51,10 +51,10 @@ from .linalg import (
     ToleranceConfig,
     _collect_notes,
     _column_span,
+    _complement_in,
     _meet_join,
     _note,
-    _numerical_rank,
-    complement_within,
+    _split,
     gap,
     join,
     meet,
@@ -63,6 +63,7 @@ from .systems import (
     IdempotentWitness,
     SubspaceSystem,
     _accept_idempotent,
+    _certify_independent,
     _require_arity_three,
     _stacked_rank,
     verify_isomorphism,
@@ -229,8 +230,10 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     (E_j + E_k)^⊥; each E_i is split against the opposite join by one small
     SVD of that basis against B_i (:func:`_split`), which gives single_i,
     E_i ∩ (E_j + E_k) and, for E3, the rank that makes E1 + E2 + E3 and the
-    outside part.  Their dimensions must obey the modular law, checked at
-    no factorization cost; a violation is an unstable rank decision and
+    outside part.  E1's and E2's split ranks must obey the modular law against
+    that total (E3's obeys it by how its split counts), and the triangle
+    count must match the one the law then gives, checked at no
+    factorization cost; a violation is an unstable rank decision and
     raises :class:`ConditioningError`.
     """
     e1, e2, e3 = system.subspaces
@@ -254,22 +257,21 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     triangle_3 = _complement_in(inside_3, shared_3, tol)
 
     # Modular law: dim E_i ∩ (E_j + E_k) = d_i + dim(E_j + E_k) - dim(E1 + E2 + E3),
-    # the total being dim(E1 + E2) plus the rank of E3's split.
-    for i, (others, inside) in enumerate(((join_23, inside_1), (join_13, inside_2), (join_12, inside_3))):
+    # the total being dim(E1 + E2) plus the rank of E3's split (so E3 obeys it).
+    for i, (others, inside) in enumerate(((join_23, inside_1), (join_13, inside_2))):
         expected = system.subspaces[i].dim + others.dim - total
         if inside.dim != expected:
             raise ConditioningError(
                 f"E{i + 1} meets the other two in {inside.dim} dimensions, the modular "
                 f"law demands {expected}; rank decisions were inconsistent"
             )
-    # Of each intersection, k lie beyond meet_ij + meet_ik (for E3, k is read that way).
-    k = triangle_3.dim
-    excess_1 = inside_1.dim - meet_12.dim - meet_13.dim + common.dim
-    excess_2 = inside_2.dim - meet_12.dim - meet_23.dim + common.dim
-    if excess_1 != k or excess_2 != k:
+    # By the law each E_i has sum(d) - sum(dim meets) - total + common directions
+    # of its intersection beyond meet_ij + meet_ik; E3's are the triangle family.
+    excess = inside_1.dim - meet_12.dim - meet_13.dim + common.dim
+    if excess != triangle_3.dim:
         raise ConditioningError(
-            f"triangle multiplicities disagree across the three subspaces "
-            f"({excess_1}, {excess_2}, {k}); rank decisions were inconsistent"
+            f"triangle multiplicities disagree: {excess} by the counts, {triangle_3.dim} "
+            f"beyond E3's shared part; rank decisions were inconsistent"
         )
 
     return {
@@ -285,35 +287,6 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "join_12": join_12,
         "factors_12": factors_12,
     }
-
-
-def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
-    """``(single, inside, outside)`` of E against a subspace J, given an
-    orthonormal basis C of J^⊥: single is the orthogonal complement of
-    E ∩ J in E, inside is E ∩ J, and outside the complement of E + J.
-
-    One SVD of C^H B_E = U S V^H decides all three.  Its singular values
-    are the sines of the principal angles between E and J, so a vector of E
-    lies in J exactly where C^H B_E vanishes: the null right vectors give
-    E ∩ J, the others single (B_E V, polished by QR), and C times the left
-    vectors past the rank spans the complement of E + J.  Sines have an
-    absolute meaning and are decided with ``scale=2.0``, which puts the
-    cutoff at the angle 2 ``rank_rtol``, where the relative rule of the
-    pair SVD puts it for [B_a | B_b] (singular values sqrt(2) sin(t/2),
-    largest up to sqrt(2)).  An empty C or E takes the same route."""
-    u, s, vh = np.linalg.svd(beyond.conj().T @ e.basis, full_matrices=True)
-    rank = _numerical_rank(s, tol, scale=2.0)
-    single, _ = np.linalg.qr(e.basis @ vh[:rank].conj().T)
-    return Subspace(single), Subspace(e.basis @ vh[rank:].conj().T), Subspace(beyond @ u[:, rank:])
-
-
-def _complement_in(whole: Subspace, part: Subspace, tol: ToleranceConfig) -> Subspace:
-    """complement_within for a containment that holds by construction, so
-    that its numerical failure is a conditioning failure, not bad input."""
-    try:
-        return complement_within(whole, part, tol)
-    except ValueError as exc:
-        raise ConditioningError(f"a containment that holds by construction failed: {exc}") from exc
 
 
 def _is_double_triangle(invariants: InvariantVector) -> bool:
@@ -358,14 +331,14 @@ def brenner_decompose(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL
 
 def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfig):
     """The uncertified change of basis built on a skeleton: the oblique
-    split of the triangle part, the independence checks on the blocks and
-    the matrix whose columns are the blocks' bases in slot order.
+    split of the triangle part, the independence check on the blocks (their
+    dimensions add up to n by the skeleton's checked counts) and the matrix
+    whose columns are the blocks' bases in slot order.
 
     Returns ``(block_matrix, triangle_1, triangle_2)``; the columns are
     laid out as :func:`_layout` gives them.  Its notes go through
     ``_note``; the caller decides where they are collected."""
-    e1, e2, _ = system.subspaces
-    n = system.ambient_dim
+    e1 = system.subspaces[0]
     triangle_3 = pieces["triangle_3"]
 
     if triangle_3.dim:
@@ -380,11 +353,7 @@ def _change_of_basis_columns(system: SubspaceSystem, pieces, tol: ToleranceConfi
     # triangle columns span the same two blocks in another basis.
     blocks = [pieces[name] for name in BLOCK_NAMES[:7]]
     blocks += [triangle_1, triangle_2, pieces["outside"]]
-    supplied = sum(b.dim for b in blocks)
-    if supplied != n:
-        raise ConditioningError(f"blocks supply {supplied} directions for ambient dimension {n}")
-    if _stacked_rank(blocks, tol) != n:
-        raise ConditioningError("block directions are numerically dependent")
+    _certify_independent(blocks, tol, "block directions")
 
     # Change of basis: blocks in slot order, with the triangle columns
     # kept raw (q1 then q2) so that the third family lands exactly on
@@ -592,10 +561,8 @@ def _invariants_and_witness(a: SubspaceSystem, b: SubspaceSystem, tol: Tolerance
     the normal form, the caller certifies the witness by it onto b.
     Notes from the skeletons reach the caller as
     :class:`ConditioningWarning`; those from building the changes of
-    basis are collected for this call alone and dropped.
+    basis are collected for this call alone and dropped.  Callers check arity.
     """
-    _require_arity_three(a)
-    _require_arity_three(b)
     pieces_a = _skeleton(a, tol)
     pieces_b = _skeleton(b, tol)
     invariants_a, invariants_b = _invariants_of(pieces_a), _invariants_of(pieces_b)

@@ -306,6 +306,26 @@ def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
     return Subspace(q), Subspace(u[:, :rank]), (u, s, vh)
 
 
+def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
+    """``(single, inside, outside)`` of E against a subspace J, given an
+    orthonormal basis C of J^⊥: single is the orthogonal complement of
+    E ∩ J in E, inside is E ∩ J, and outside the complement of E + J.
+
+    One SVD of C^H B_E = U S V^H decides all three.  Its singular values
+    are the sines of the principal angles between E and J, so a vector of E
+    lies in J exactly where C^H B_E vanishes: the null right vectors give
+    E ∩ J, the others single (B_E V, polished by QR), and C times the left
+    vectors past the rank spans the complement of E + J.  Sines have an
+    absolute meaning and are decided with ``scale=2.0``, which puts the
+    cutoff at the angle 2 ``rank_rtol``, where the relative rule of the
+    pair SVD puts it for [B_a | B_b] (singular values sqrt(2) sin(t/2),
+    largest up to sqrt(2)).  An empty C or E takes the same route."""
+    u, s, vh = np.linalg.svd(beyond.conj().T @ e.basis, full_matrices=True)
+    rank = _numerical_rank(s, tol, scale=2.0)
+    single, _ = np.linalg.qr(e.basis @ vh[:rank].conj().T)
+    return Subspace(single), Subspace(e.basis @ vh[rank:].conj().T), Subspace(beyond @ u[:, rank:])
+
+
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces.  One factorization serves it and
     :func:`join`, so dim meet + dim join = dim a + dim b by construction."""
@@ -319,15 +339,11 @@ def join(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspa
 
 
 def complement(a: Subspace) -> Subspace:
-    """Orthogonal complement.  Needs no tolerance: the basis is orthonormal
-    by invariant, so its rank is its column count."""
-    n, k = a.basis.shape
-    if k == 0:
-        return Subspace.full(n)
-    if k == n:
-        return Subspace.zero(n)
+    """Orthogonal complement, in the basis's dtype.  Needs no tolerance: the
+    basis is orthonormal by invariant, so its rank is its column count (an
+    (n, 0) basis too, whose ``u`` numpy gives as the identity)."""
     u, _, _ = np.linalg.svd(a.basis, full_matrices=True)
-    return Subspace(u[:, k:])
+    return Subspace(u[:, a.dim:])
 
 
 def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -353,6 +369,22 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
             f"relative complement of dimension {expected} does not split cleanly at 0.5 ({unclean})"
         )
     return Subspace(u[:, :expected])
+
+
+@contextmanager
+def _by_construction():
+    """A containment that holds by construction and fails numerically is a
+    :class:`ConditioningError`, not the ValueError of bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConditioningError(f"a containment that holds by construction failed: {exc}") from exc
+
+
+def _complement_in(whole: Subspace, part: Subspace, tol: ToleranceConfig) -> Subspace:
+    """:func:`complement_within` for a containment that holds by construction."""
+    with _by_construction():
+        return complement_within(whole, part, tol)
 
 
 def _unclean_split(s: np.ndarray, count: int):

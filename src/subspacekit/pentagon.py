@@ -10,7 +10,9 @@ two hypotheses still splits into well-understood parts, and
 
   * a bridge part of E1 that closes the gap between E2 and
     E3 meet (E1 + E2), extracted with the same oblique projections used by
-    the triangle split;
+    the triangle split.  E3's share of E1 + E2 and the part of E3 beyond it
+    come off the pair SVD of (E1, E2) by the split that gives the Brenner
+    skeleton its singles (:func:`subspacekit.linalg._split`);
   * either a fully distributive remainder (when E3 lies inside E1 + E2),
     or a leftover piece of E3 outside E1 + E2 which forces an irreducible
     pentagon-like core, returned as a restricted system.
@@ -35,14 +37,16 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
+    _by_construction,
     _column_span,
+    _complement_in,
     _meet_join,
-    complement_within,
+    _split,
     contains,
-    meet,
+    join,
     principal_angles,
 )
-from .systems import SubspaceSystem, _require_arity_three, _stacked_rank, restrict_system
+from .systems import SubspaceSystem, _certify_independent, _require_arity_three, restrict_system
 from .two_subspaces import ANGLE_EPS, _oblique_split, _part_span
 
 __all__ = [
@@ -112,7 +116,6 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
     """
     _require_arity_three(system)
     e1, e2, e3 = system.subspaces
-    n = system.ambient_dim
 
     meet_12, span_12, factors_12 = _meet_join(e1, e2, tol)
     if meet_12.dim != 0:
@@ -126,26 +129,25 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
             "hypothesis failure: containment of the second subspace in the third must be strict"
         )
 
-    inside = meet(e3, span_12, tol)
-    third_outside = complement_within(e3, inside, tol)
-    quotient = complement_within(inside, e2, tol)  # e2 sits inside both e3 and span_12
-    u = quotient.basis
+    # E3 split against (E1 + E2)^⊥, read off the pair SVD's u
+    third_outside, inside, _ = _split(e3, factors_12[0][:, span_12.dim:], tol)
+    u = _complement_in(inside, e2, tol).basis
     v, w = _oblique_split(e1, factors_12, span_12.dim, u)
 
     bridge = _part_span(v, tol, "bridge")
+    first_rest = _complement_in(e1, bridge, tol)
 
     if third_outside.dim == 0:
         # Fully distributive: E3 = E2 + bridge and E1 = bridge + remainder.
         # The counts give dim E2 + dim bridge = dim E3, and the independence
         # of all three parts gives that of E2 and the bridge: a column
         # subset's singular values interlace with those of the whole.
-        first_remainder = complement_within(e1, bridge, tol)
-        _certify_independent((e2, bridge, first_remainder), n, tol, "split parts")
+        _certify_independent((e2, bridge, first_rest), tol, "split parts")
         return PentagonSplit(
             case=CASE_DISTRIBUTIVE,
             bridge=bridge,
             base=e2,
-            first_remainder=first_remainder,
+            first_remainder=first_rest,
             third_outside=None,
             pentagon_part=None,
             quotient_vectors=u,
@@ -153,17 +155,13 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
             second_components=w,
         )
 
-    first_core = complement_within(e1, bridge, tol)
-    third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
-    _certify_independent((bridge, first_core, e2, third_outside), n, tol, "pentagon parts")
-    meet_core, carrier, _ = _meet_join(first_core, third_core, tol)
-    if meet_core.dim != 0:
-        raise ConditioningError(
-            "reduced first and third subspaces still intersect; conditioning is insufficient"
-        )
-    core = restrict_system(
-        SubspaceSystem.of(first_core, e2, third_core), carrier, tol
-    )
+    # [first_rest | E2 | third_outside], a column subset of the certified stack,
+    # keeps full rank under the same relative cutoff: its join carries the core.
+    _certify_independent((bridge, first_rest, e2, third_outside), tol, "pentagon parts")
+    with _by_construction():
+        third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
+        carrier = join(first_rest, third_core, tol)
+        core = restrict_system(SubspaceSystem.of(first_rest, e2, third_core), carrier, tol)
     return PentagonSplit(
         case=CASE_PENTAGON,
         bridge=bridge,
@@ -175,15 +173,6 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
         first_components=v,
         second_components=w,
     )
-
-
-def _certify_independent(subspaces, n, tol, label):
-    total = sum(s.dim for s in subspaces)
-    if total > n:
-        raise ConditioningError(f"{label} overfill the ambient space")
-    rank = _stacked_rank(subspaces, tol)
-    if rank != total:
-        raise ConditioningError(f"{label} are numerically dependent (rank {rank} of {total})")
 
 
 def example9_truncated(n: int) -> SubspaceSystem:

@@ -511,6 +511,15 @@ def _stacked_rank(subspaces, tol: ToleranceConfig) -> int:
     return _numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
 
 
+def _certify_independent(subspaces, tol: ToleranceConfig, label: str):
+    """Raise :class:`ConditioningError` unless the stacked bases of the
+    family have full column rank: the one independence guard of a split."""
+    total = sum(s.dim for s in subspaces)
+    rank = _stacked_rank(subspaces, tol)
+    if rank != total:
+        raise ConditioningError(f"{label} are numerically dependent (rank {rank} of {total})")
+
+
 def _require_arity_three(system: SubspaceSystem):
     if system.arity != 3:
         raise ValueError(f"expected a system of three subspaces, got {system.arity}")

@@ -331,6 +331,40 @@ class TestSkeletonChecks:
         with pytest.raises(ConditioningError, match="modular law"):
             brenner_invariants(system)
 
+    def test_lost_direction_of_second_inside_part(self, monkeypatch):
+        # E2 ∩ (E1 + E3) comes out one dimension short; the law is checked
+        # on E1 and E2, since E3's split fixes the total
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        e2 = system.subspaces[1]
+        split = brenner._split
+
+        def lossy(e, beyond, tol):
+            single, inside, outside = split(e, beyond, tol)
+            if e is e2:
+                return single, drop_last_direction(inside), outside
+            return single, inside, outside
+
+        monkeypatch.setattr(brenner, "_split", lossy)
+        with pytest.raises(ConditioningError, match="E2 meets the other two in 3 dimensions, the modular law demands 4"):
+            brenner_invariants(system)
+
+    def test_lost_direction_of_third_shared_part(self, monkeypatch):
+        # (E1 ∩ E3) + (E2 ∩ E3), the one join of the skeleton, comes out one
+        # dimension short, so E3's triangle family one too long
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        joined = brenner.join
+        monkeypatch.setattr(brenner, "join", lambda a, b, tol: drop_last_direction(joined(a, b, tol)))
+        with pytest.raises(ConditioningError, match="triangle multiplicities disagree: 1 by the counts, 2"):
+            brenner_invariants(system)
+
+    def test_dependent_blocks(self, monkeypatch):
+        # the stacked blocks' rank comes out one short of n
+        system, _ = compose_from_multiplicities(ALL_SLOTS, seed=3, cond_bound=4.0)
+        stacked_rank = systems._stacked_rank
+        monkeypatch.setattr(systems, "_stacked_rank", lambda subspaces, tol: stacked_rank(subspaces, tol) - 1)
+        with pytest.raises(ConditioningError, match="block directions are numerically dependent"):
+            brenner_decompose(system)
+
     @pytest.mark.parametrize("index", [192])
     def test_failed_containment_is_a_conditioning_failure(self, index):
         # a containment that holds by construction fails numerically at

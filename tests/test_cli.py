@@ -528,12 +528,17 @@ class TestDecompose:
         assert json.dumps(cli._matrix_entries(matrix.T)) == json.dumps(vectors)
         assert json.dumps(cli._matrix_entries(np.zeros((3, 0)).T)) == "[]"
 
-    @pytest.mark.parametrize("command", ["decompose", "analyze"])
-    def test_failed_containment_is_a_conditioning_failure(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("command, vector, seed, cond", [
         # entry 330 of corpus_spec(count=400, max_cond=1e9): a containment
         # that holds by construction fails numerically in the skeleton
-        vector = InvariantVector(1, 0, 0, 1, 1, 1, 0, 3, 1)
-        path = generate(capsys, tmp_path / "f.json", vector, 1769612510, 922864058.6694026)
+        pytest.param("decompose", (1, 0, 0, 1, 1, 1, 0, 3, 1), 1769612510, 922864058.6694026, id="decompose"),
+        pytest.param("analyze", (1, 0, 0, 1, 1, 1, 0, 3, 1), 1769612510, 922864058.6694026, id="analyze"),
+        # E1 ∩ E2 = 0 and E2 < E3, yet E2 fails to lie numerically in E3's
+        # share of E1 + E2: the file is valid, the split ill-conditioned
+        pytest.param("pentagon", (0, 4, 4, 0, 1, 0, 0, 0, 1), 765229680, 1.79e8, id="pentagon"),
+    ])
+    def test_failed_containment_is_a_conditioning_failure(self, capsys, tmp_path, command, vector, seed, cond):
+        path = generate(capsys, tmp_path / "f.json", InvariantVector(*vector), seed, cond)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
             code, out, err = run(capsys, command, path)

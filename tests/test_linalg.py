@@ -199,9 +199,20 @@ class TestLatticeOps:
         assert contains(j, a) and contains(j, b)
 
     def test_complement_oracle(self):
-        assert same_subspace(complement(line(1, 0)), line(0, 1))
+        # the zero and the full subspace take the general route, and the
+        # complement keeps the basis's dtype, real or complex
+        for dtype in (np.float64, np.complex128):
+            assert same_subspace(complement(Subspace(np.array([[1], [0]], dtype=dtype))), line(0, 1))
+            for k in range(4):
+                basis = np.eye(3, dtype=dtype)[:, :k]
+                rest = complement(Subspace(basis))
+                assert rest.basis.dtype == dtype
+                assert rest.dim == 3 - k
+                assert same_subspace(join(Subspace(basis), rest), Subspace.full(3))
         assert complement(Subspace.zero(3)).is_full
+        assert complement(Subspace.zero(3)).basis.dtype == np.float64
         assert complement(Subspace.full(3)).is_zero
+        assert complement(Subspace.full(3)).basis.dtype == np.complex128
 
     def test_complement_within(self):
         whole = orthonormalize([[1, 0, 0], [0, 1, 0]])

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from subspacekit import (
     CASE_DISTRIBUTIVE,
     CASE_PENTAGON,
+    ConditioningError,
+    ConditioningWarning,
     InvariantVector,
     Subspace,
     SubspaceSystem,
@@ -18,8 +22,11 @@ from subspacekit import (
     margin_sample_points,
     meet,
     orthonormalize,
+    pentagon,
     pentagon_split,
     same_subspace,
+    systems,
+    two_subspaces,
 )
 
 
@@ -153,19 +160,67 @@ class TestPentagonSplit:
         assert calls == []
 
     @pytest.mark.parametrize("vector, case, svds", [
-        ((0, 2, 3, 0, 2, 0, 0, 0, 1), CASE_DISTRIBUTIVE, 7),
-        ((0, 2, 3, 0, 2, 0, 2, 0, 1), CASE_PENTAGON, 8),
+        ((0, 2, 3, 0, 2, 0, 0, 0, 1), CASE_DISTRIBUTIVE, 6),
+        ((0, 2, 3, 0, 2, 0, 2, 0, 1), CASE_PENTAGON, 7),
     ])
     def test_factorizations_per_call(self, monkeypatch, vector, case, svds):
-        # E1 ∩ E2 = 0 and E2 < E3 by the multiplicities; the distributive
-        # case certifies its three parts independent once, which covers
-        # base and bridge, whose dimensions add up by the counts
+        # E1 ∩ E2 = 0 and E2 < E3 by the multiplicities; E3 is split against
+        # (E1 + E2)^⊥ off the pair's SVD, and the distributive case
+        # certifies its three parts independent once, which covers base and
+        # bridge, whose dimensions add up by the counts
         system, _ = compose_from_multiplicities(InvariantVector(*vector), 5, 10.0)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert pentagon_split(system).case == case
         assert len(calls) == svds
+
+
+class TestSplitChecks:
+    """What holds by construction fails as a ConditioningError, and each
+    guard that stays fires when its rank decision is off by one."""
+
+    DISTRIBUTIVE = InvariantVector(0, 2, 3, 0, 2, 0, 0, 0, 1)
+    PENTAGON = InvariantVector(0, 2, 3, 0, 2, 0, 2, 0, 1)
+
+    def test_failed_containment_is_a_conditioning_failure(self):
+        # E1 ∩ E2 = 0 and E2 strictly inside E3, yet at scramble condition
+        # 1.79e8 E2 fails to lie numerically in E3's share of E1 + E2
+        vector = InvariantVector(0, 4, 4, 0, 1, 0, 0, 0, 1)
+        system, _ = compose_from_multiplicities(vector, 765229680, 1.79e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            with pytest.raises(ConditioningError, match="holds by construction"):
+                pentagon_split(system)
+
+    def test_lost_direction_of_the_third_share(self, monkeypatch):
+        # E3's share of E1 + E2 comes out one dimension short, so it no
+        # longer holds E2
+        system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
+        split = pentagon._split
+
+        def lossy(e, beyond, tol):
+            single, inside, outside = split(e, beyond, tol)
+            return single, Subspace(inside.basis[:, :-1]), outside
+
+        monkeypatch.setattr(pentagon, "_split", lossy)
+        with pytest.raises(ConditioningError, match="holds by construction"):
+            pentagon_split(system)
+
+    @pytest.mark.parametrize("vector, label", [(DISTRIBUTIVE, "split parts"), (PENTAGON, "pentagon parts")])
+    def test_dependent_parts(self, monkeypatch, vector, label):
+        system, _ = compose_from_multiplicities(vector, 5, 10.0)
+        stacked_rank = systems._stacked_rank
+        monkeypatch.setattr(systems, "_stacked_rank", lambda subspaces, tol: stacked_rank(subspaces, tol) - 1)
+        with pytest.raises(ConditioningError, match=f"{label} are numerically dependent"):
+            pentagon_split(system)
+
+    def test_bridge_one_short(self, monkeypatch):
+        system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
+        column_span = two_subspaces._column_span
+        monkeypatch.setattr(two_subspaces, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
+        with pytest.raises(ConditioningError, match="bridge came out 2-dimensional, expected 3"):
+            pentagon_split(system)
 
 
 class TestTruncatedExample:

@@ -267,6 +267,42 @@ def test_detects_a_second_complement(tmp_path):
     assert calls == [("_beyond", 4), ("_halmos_parts", 6)]
 
 
+def test_one_lattice_route():
+    # both constructions read the lattice of E1, E2 and E3 one way: the
+    # skeleton's one meet is common, E_i ∩ (E_j + E_k) comes off a pair
+    # SVD's join complement by _split, and a complement that holds by
+    # construction goes through linalg._complement_in
+    assert package_calls("meet") == [("brenner.py", "_skeleton")]
+    assert package_calls("_split") == [("brenner.py", "_skeleton")] * 3 + [("pentagon.py", "pentagon_split")]
+    assert package_calls("complement_within") == [("linalg.py", "_complement_in")]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("meet", [("_skeleton", 4), ("pentagon_split", 8)]),
+    ("_split", [("_skeleton", 5), ("_halmos_parts", 11)]),
+    ("complement_within", [("pentagon_split", 9), ("_complement_in", 13)]),
+])
+def test_detects_a_second_lattice_site(tmp_path, name, expected):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from . import linalg\n"
+        "from .linalg import complement_within as rest, meet as cap\n"
+        "def _skeleton(e1, e2, e3, c, tol):\n"
+        "    common = cap(e1, e3, tol)\n"
+        "    return common, _split(e1, c, tol)\n"
+        "def pentagon_split(e1, e2, e3, tol):\n"
+        "    share = linalg.join(e1, e2, tol)\n"
+        "    inside = linalg.meet(e3, share, tol)\n"
+        "    return rest(inside, e2, tol)\n"
+        "def _halmos_parts(a, c, tol):\n"
+        "    return linalg._split(a, c, tol)\n"
+        "def _complement_in(whole, part, tol):\n"
+        "    return complement_within(whole, part, tol)\n"
+    )
+    calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == name]
+    assert calls == expected
+
+
 def indented_json_writes(path: Path) -> list:
     """Calls of ``json.dump`` or ``json.dumps`` that pass ``indent``, or
     unpack keywords that may hold it, as ``(enclosing function, line)``.
