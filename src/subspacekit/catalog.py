@@ -11,8 +11,6 @@ number, which is how test corpora with known ground truth are produced.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .brenner import _HELD, SLOT_NAMES, InvariantVector
@@ -31,22 +29,32 @@ __all__ = [
 SLOT_ATOMS = (8, 7, 6, 5, 2, 3, 4, 9, 1)
 
 
-def atom(index: int) -> SubspaceSystem:
-    """The indecomposable system with the given catalog index (1 to 9).
-
-    Atoms 1 through 8 live in C^1; atom 9 is the double triangle in C^2
-    (the two coordinate axes and the diagonal).  A one-dimensional atom
-    is the full line in each subspace that holds its slot's block.
-    """
-    if index not in SLOT_ATOMS:
-        raise ValueError(f"atom index must be 1..9, got {index!r}")
-    name = SLOT_NAMES[SLOT_ATOMS.index(index)]
+def _build_atom(name: str) -> SubspaceSystem:
+    """The atom housed in the InvariantVector slot ``name``."""
     if name == "triangle":
         axis_1 = Subspace(np.array([[1.0], [0.0]], dtype=np.complex128))
         axis_2 = Subspace(np.array([[0.0], [1.0]], dtype=np.complex128))
         diagonal = Subspace(np.array([[1.0], [1.0]], dtype=np.complex128) / np.sqrt(2.0))
         return SubspaceSystem.of(axis_1, axis_2, diagonal)
     return SubspaceSystem.of(*(Subspace.full(1) if name in held else Subspace.zero(1) for held in _HELD))
+
+
+# The atom of each slot, in slot order.  Systems are frozen and bases
+# read-only, so each atom is built once and shared.
+_SLOT_SYSTEMS = tuple(_build_atom(name) for name in SLOT_NAMES)
+
+
+def atom(index: int) -> SubspaceSystem:
+    """The indecomposable system with the given catalog index (1 to 9).
+
+    Atoms 1 through 8 live in C^1; atom 9 is the double triangle in C^2
+    (the two coordinate axes and the diagonal).  A one-dimensional atom
+    is the full line in each subspace that holds its slot's block.  The
+    same immutable system is returned on every call.
+    """
+    if index not in SLOT_ATOMS:
+        raise ValueError(f"atom index must be 1..9, got {index!r}")
+    return _SLOT_SYSTEMS[SLOT_ATOMS.index(index)]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,17 +91,19 @@ def compose_from_multiplicities(
     if not np.isfinite(cond_bound) or cond_bound < 1.0:
         raise ValueError(f"cond_bound must be a finite number >= 1, got {cond_bound!r}")
 
-    blocks = []
-    for count, atom_index in zip(multiplicities.as_tuple(), SLOT_ATOMS):
-        blocks.extend(atom(atom_index) for _ in range(count))
-    base = reduce(direct_sum, blocks)
-
-    n = base.ambient_dim
+    # The n x n scramble comes first: an ambient dimension no machine can
+    # hold is refused by its first allocation, before any atom is listed.
+    n = multiplicities.total_dim
     rng = np.random.default_rng(seed)
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
     stretch = np.exp(rng.uniform(0.0, np.log(cond_bound), size=n))
     scramble = u @ (stretch[:, None] * v)
+    base = direct_sum(*(
+        system
+        for count, system in zip(multiplicities.as_tuple(), _SLOT_SYSTEMS)
+        for _ in range(count)
+    ))
     return map_system(scramble, base, tol), scramble
 
 

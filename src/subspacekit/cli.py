@@ -83,9 +83,9 @@ ENV_PREFIX = "SUBSPACEKIT_"
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 _TOL_KEYS = ("rank_rtol", "gap_tol", "residual_tol", "cond_warn")
-# (path, ambient_dim) of each system the running command has loaded, so that
-# numpy's refusal to allocate can be reported against the file.
-_LOADED: ContextVar = ContextVar("subspacekit_loaded", default=None)
+# (file or flag, ambient_dim) of each system the running command has
+# admitted, so that numpy's refusal to allocate can be reported against it.
+_ADMITTED: ContextVar = ContextVar("subspacekit_admitted", default=None)
 
 
 class _InputError(Exception):
@@ -162,13 +162,11 @@ def _write_matrix(matrix: np.ndarray, depth: int, parts: list):
     floats = list(map(float.__repr__, matrix.view(np.float64).ravel().tolist()))
     if not np.isfinite(matrix).all():
         floats = [_NON_FINITE.get(text, text) for text in floats]
-    pair = f"[{entry_in}{{}},{entry_in}{{}}{pair_in}]".format
-    pairs = list(map(pair, floats[0::2], floats[1::2]))
-    between_pairs = "," + pair_in
-    parts.append("[" + row_in + ("," + row_in).join(
-        "[" + pair_in + between_pairs.join(pairs[start:start + cols]) + row_in + "]"
-        for start in range(0, len(pairs), cols)
-    ) + _newline(depth) + "]")
+    # One template repeats the layout of a pair, a row and the matrix.
+    pair = f"[{entry_in}%s,{entry_in}%s{pair_in}]"
+    row = "[" + pair_in + ("," + pair_in).join([pair] * cols) + row_in + "]"
+    template = "[" + row_in + ("," + row_in).join([row] * rows) + _newline(depth) + "]"
+    parts.append(template % tuple(floats))
 
 
 def _tol_dict(tol: ToleranceConfig):
@@ -365,17 +363,28 @@ def _parse_vectors(vectors: list, ambient: int, field: str) -> np.ndarray:
     return np.array(parsed, dtype=np.complex128)
 
 
+def _admit_ambient(ambient: int, where: str):
+    """Refuse an ambient dimension whose n x n complex matrix numpy cannot
+    size, by arithmetic on the integer, before anything is allocated; note
+    an admitted one against ``where`` (a file or a flag) so that numpy's
+    refusal of a later array can be reported there."""
+    if ambient * ambient * _COMPLEX_BYTES > _MAX_ARRAY_BYTES:
+        raise _InputError(
+            f"{where}: 'ambient_dim' {ambient} is too large: numpy cannot size "
+            f"a {ambient} x {ambient} complex matrix"
+        )
+    admitted = _ADMITTED.get()
+    if admitted is not None:
+        admitted.append((where, ambient))
+
+
 def _system_from_payload(payload, tol: ToleranceConfig, where: str) -> SubspaceSystem:
     if not isinstance(payload, dict):
         raise _InputError(f"{where}: top level must be a JSON object")
     ambient = payload.get("ambient_dim")
     if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 1:
         raise _InputError(f"{where}: 'ambient_dim' must be a positive integer")
-    if ambient * ambient * _COMPLEX_BYTES > _MAX_ARRAY_BYTES:
-        raise _InputError(
-            f"{where}: 'ambient_dim' {ambient} is too large: numpy cannot size "
-            f"a {ambient} x {ambient} complex matrix"
-        )
+    _admit_ambient(ambient, where)
     entries = payload.get("subspaces")
     if not isinstance(entries, list) or not entries:
         raise _InputError(f"{where}: 'subspaces' must be a nonempty array")
@@ -413,11 +422,7 @@ def _load_system(path: str, overrides: dict):
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     tol = _merge_tolerances(payload, overrides, path)
-    system = _system_from_payload(payload, tol, path)
-    loaded = _LOADED.get()
-    if loaded is not None:
-        loaded.append((path, system.ambient_dim))
-    return system, tol
+    return _system_from_payload(payload, tol, path), tol
 
 
 def _angles_report(system: SubspaceSystem):
@@ -553,6 +558,7 @@ def cmd_generate(args, overrides):
     if not np.isfinite(args.cond) or args.cond < 1.0:
         raise _InputError(f"--cond must be a finite number >= 1, got {args.cond!r}")
     tol = _merge_tolerances({}, overrides, "--")
+    _admit_ambient(vector.total_dim, "--mult")
     try:
         system, _ = compose_from_multiplicities(vector, seed, args.cond, tol)
     except ValueError as exc:
@@ -699,8 +705,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     fmt = "json"
-    loaded = []
-    token = _LOADED.set(loaded)
+    admitted = []
+    token = _ADMITTED.set(admitted)
     try:
         overrides = _gather_overrides(args)
         fmt = overrides["fmt"]
@@ -709,18 +715,18 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # numpy refused an array at once; nothing is held
-        if not loaded:
+        if not admitted:
             raise
-        path, ambient = max(loaded, key=lambda entry: entry[1])
+        where, ambient = max(admitted, key=lambda entry: entry[1])
         sys.stderr.write(
-            f"error: {path}: 'ambient_dim' {ambient} is too large for this machine: {exc}\n"
+            f"error: {where}: 'ambient_dim' {ambient} is too large for this machine: {exc}\n"
         )
         return 2
     except ConditioningError as exc:
         sys.stderr.write(f"conditioning failure: {exc}\n")
         return 1
     finally:
-        _LOADED.reset(token)
+        _ADMITTED.reset(token)
     _emit(report, fmt)
     return code
 

@@ -153,19 +153,32 @@ class IsomorphismReport:
         return self.sigma_max / self.sigma_min if self.sigma_min > 0.0 else float("inf")
 
 
-def direct_sum(a: SubspaceSystem, b: SubspaceSystem) -> SubspaceSystem:
-    """Block-diagonal sum of two systems with equal arity."""
-    if a.arity != b.arity:
-        raise ValueError(f"cannot sum systems of arity {a.arity} and {b.arity}")
-    na, nb = a.ambient_dim, b.ambient_dim
+def direct_sum(*systems: SubspaceSystem) -> SubspaceSystem:
+    """Block-diagonal sum of one or more systems with equal arity.
+
+    The i-th subspace of the sum is the block-diagonal complex128 basis of
+    the members' i-th subspaces, in the order given.  ``direct_sum(a, b, c)``
+    equals ``direct_sum(direct_sum(a, b), c)`` bit for bit, but builds each
+    basis once.  Labels are kept only when every member has the same labels.
+    """
+    if not systems:
+        raise ValueError("direct_sum needs at least one system")
+    first = systems[0]
+    for other in systems[1:]:
+        if other.arity != first.arity:
+            raise ValueError(f"cannot sum systems of arity {first.arity} and {other.arity}")
+    n = sum(s.ambient_dim for s in systems)
     pieces = []
-    for sa, sb in zip(a.subspaces, b.subspaces):
-        basis = np.zeros((na + nb, sa.dim + sb.dim), dtype=np.complex128)
-        basis[:na, : sa.dim] = sa.basis
-        basis[na:, sa.dim :] = sb.basis
+    for members in zip(*(s.subspaces for s in systems)):
+        basis = np.zeros((n, sum(m.dim for m in members)), dtype=np.complex128)
+        row = column = 0
+        for m in members:
+            basis[row : row + m.ambient_dim, column : column + m.dim] = m.basis
+            row += m.ambient_dim
+            column += m.dim
         pieces.append(Subspace(basis))
-    labels = a.labels if a.labels == b.labels else None
-    return SubspaceSystem(na + nb, tuple(pieces), labels)
+    labels = first.labels if all(s.labels == first.labels for s in systems) else None
+    return SubspaceSystem(n, tuple(pieces), labels)
 
 
 def map_system(matrix: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceSystem:

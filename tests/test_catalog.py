@@ -1,19 +1,25 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from subspacekit import (
     InvariantVector,
     SLOT_ATOMS,
+    Subspace,
     SubspaceSystem,
     atom,
     compose_from_multiplicities,
+    direct_sum,
     haar_unitary,
     is_transitive,
+    map_system,
     meet,
     orthonormalize,
     remark_example,
     same_subspace,
 )
+from conftest import corpus_spec
 
 MEMBERSHIP = {
     1: (0, 0, 0),
@@ -55,6 +61,15 @@ class TestAtoms:
 
     def test_slot_table_is_a_permutation(self):
         assert sorted(SLOT_ATOMS) == list(range(1, 10))
+
+    @pytest.mark.parametrize("index", range(1, 10))
+    def test_atoms_are_built_once_and_read_only(self, index):
+        system = atom(index)
+        assert atom(index) is system
+        for s in system.subspaces:
+            assert not s.basis.flags.writeable
+            with pytest.raises(ValueError):
+                s.basis[...] = 0.0
 
 
 class TestHaarUnitary:
@@ -107,6 +122,73 @@ class TestCompose:
             compose_from_multiplicities(v, seed=0, cond_bound=0.5)
         with pytest.raises(ValueError):
             compose_from_multiplicities(v, seed=0, cond_bound=float("inf"))
+
+
+def folded_composition(vector, seed, cond_bound):
+    """compose_from_multiplicities as a fold of the two-argument
+    direct_sum over atoms in slot order, then the seeded scramble."""
+    blocks = [atom(i) for count, i in zip(vector.as_tuple(), SLOT_ATOMS) for _ in range(count)]
+    base = reduce(direct_sum, blocks)
+    n = base.ambient_dim
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    stretch = np.exp(rng.uniform(0.0, np.log(cond_bound), size=n))
+    scramble = u @ (stretch[:, None] * v)
+    return map_system(scramble, base), scramble
+
+
+def one_hot(slot):
+    counts = [0] * 9
+    counts[slot] = 1
+    return InvariantVector(*counts)
+
+
+EDGE_VECTORS = [one_hot(slot) for slot in range(9)] + [
+    InvariantVector(0, 0, 0, 0, 0, 0, 0, 3, 0),  # triangles only
+    InvariantVector(0, 0, 0, 0, 0, 0, 0, 0, 4),  # only outside: every subspace is zero
+    InvariantVector(0, 0, 0, 0, 0, 0, 2, 0, 1),  # E1 and E2 are zero
+    InvariantVector(3, 0, 0, 0, 0, 0, 0, 0, 0),  # every subspace is the whole space
+]
+
+
+class TestComposeMatchesTheFold:
+    """The one n-ary direct_sum gives the bits the two-argument fold gave."""
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        def arrays(composed):
+            system, scramble = composed
+            assert system.arity == 3 and system.labels is None
+            return [s.basis for s in system.subspaces] + [scramble]
+
+        for a, b in zip(arrays(got), arrays(expected)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    def test_corpus(self):
+        for vector, seed, cond in corpus_spec(max_cond=1e6):
+            self.assert_same_bits(
+                compose_from_multiplicities(vector, seed, cond), folded_composition(vector, seed, cond)
+            )
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("vector", EDGE_VECTORS, ids=lambda v: ",".join(map(str, v.as_tuple())))
+    def test_edge_vectors(self, vector, cond):
+        self.assert_same_bits(
+            compose_from_multiplicities(vector, 11, cond), folded_composition(vector, 11, cond)
+        )
+
+    @pytest.mark.parametrize("vector", [one_hot(0), InvariantVector(1, 2, 0, 1, 3, 0, 1, 4, 2),
+                                        InvariantVector(3, 3, 3, 3, 3, 3, 3, 3, 3)],
+                             ids=["one atom", "14 atoms", "27 atoms"])
+    def test_subspace_constructions_do_not_grow_with_the_atoms(self, monkeypatch, vector):
+        # one sum and one image of each of the three subspaces; the atoms
+        # are built once, when the module is imported
+        built = []
+        post_init = Subspace.__post_init__
+        monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+        compose_from_multiplicities(vector, 3, 10.0)
+        assert len(built) == 2 * 3
 
 
 class TestRemarkExample:

@@ -20,6 +20,7 @@ from subspacekit import (
     brenner,
     brenner_decompose,
     brenner_invariants,
+    catalog,
     cli,
     compose_from_multiplicities,
     detect_double_triangle,
@@ -681,6 +682,43 @@ class TestGenerate:
             "--cond", "0.5", "-o", out,
         )
         assert code == 2
+
+    # 759250125 is the least n whose n x n complex matrix numpy cannot size;
+    # 379625063 triangles cross it only through their two dimensions each.
+    @pytest.mark.parametrize("mult, ambient", [
+        ("759250125,0,0,0,0,0,0,0,0", 759250125),
+        ("0,0,0,0,0,0,0,379625063,0", 759250126),
+        ("0,0,0,0,0,0,0,0," + str(10**30), 10**30),
+    ])
+    def test_unsizeable_ambient_dim_is_refused_before_composing(self, capsys, tmp_path, monkeypatch,
+                                                                mult, ambient):
+        # refused by arithmetic on the integer, as a file's ambient_dim is
+        monkeypatch.setattr(cli, "compose_from_multiplicities", None)
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "generate", "--mult", mult, "-o", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: --mult: 'ambient_dim' {ambient} is too large: numpy cannot size "
+            f"a {ambient} x {ambient} complex matrix\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mult", ["759250124,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,379625062,0"])
+    def test_ambient_dim_numpy_refuses_is_located(self, capsys, tmp_path, monkeypatch, mult):
+        # numpy sizes the 759250124 x 759250124 scramble (8 EiB) but no
+        # address space holds it; it is drawn before any atom is listed, so
+        # the atoms are never reached
+        monkeypatch.setattr(catalog, "_SLOT_SYSTEMS", None)
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "generate", "--mult", mult, "-o", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(
+            "error: --mult: 'ambient_dim' 759250124 is too large for this machine: Unable to allocate "
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def as_lists(value):

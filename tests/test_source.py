@@ -303,6 +303,60 @@ def test_detects_a_second_lattice_site(tmp_path, name, expected):
     assert calls == expected
 
 
+def folded_direct_sums(path: Path) -> list:
+    """Calls that fold ``direct_sum`` with ``reduce``, as ``(enclosing
+    function, line)``: ``reduce`` or ``functools.reduce``, under any name it
+    is imported as, whose first argument is ``direct_sum`` by any name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reducers, sums = {"reduce"}, {"direct_sum"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "reduce":
+                    reducers.add(alias.asname or alias.name)
+                elif alias.name == "direct_sum":
+                    sums.add(alias.asname or alias.name)
+
+    def named(node, names):
+        if isinstance(node, ast.Attribute):
+            return node.attr in names
+        return isinstance(node, ast.Name) and node.id in names
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and named(child.func, reducers):
+                if child.args and named(child.args[0], sums):
+                    found.append((scope, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_folded_direct_sum():
+    # direct_sum takes every member at once and builds each basis once
+    assert [(path.name, scope) for path in MODULES for scope, _ in folded_direct_sums(path)] == []
+
+
+def test_detects_a_folded_direct_sum(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import functools\n"
+        "from functools import reduce as fold\n"
+        "from .systems import direct_sum as plus\n"
+        "from . import systems\n"
+        "def compose(blocks):\n"
+        "    return functools.reduce(systems.direct_sum, blocks)\n"
+        "def stack(blocks):\n"
+        "    return fold(plus, blocks), fold(max, blocks), plus(*blocks)\n"
+        "BASE = reduce(direct_sum, [])\n"
+    )
+    assert folded_direct_sums(module) == [("compose", 6), ("stack", 8), ("<module>", 9)]
+
+
 def indented_json_writes(path: Path) -> list:
     """Calls of ``json.dump`` or ``json.dumps`` that pass ``indent``, or
     unpack keywords that may hold it, as ``(enclosing function, line)``.

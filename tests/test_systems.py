@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +82,71 @@ class TestSubspaceSystem:
         plane = orthonormalize([[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError):
             restrict_system(SubspaceSystem.of(line(0, 0, 1)), plane)
+
+
+def labelled(system, labels):
+    return SubspaceSystem(system.ambient_dim, system.subspaces, labels)
+
+
+class TestNaryDirectSum:
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert (a.ambient_dim, a.labels) == (b.ambient_dim, b.labels)
+        for x, y in zip(a.subspaces, b.subspaces, strict=True):
+            assert (x.basis.dtype, x.basis.shape) == (y.basis.dtype, y.basis.shape)
+            assert x.basis.tobytes() == y.basis.tobytes()
+
+    def members(self):
+        rng = np.random.default_rng(21)
+        randoms = [
+            SubspaceSystem.of(*(random_subspace(rng, n, d) for d in dims))
+            for n, dims in ((4, (2, 0, 3)), (3, (3, 1, 0)), (5, (2, 2, 2)))
+        ]
+        real = SubspaceSystem.of(Subspace(np.eye(2)[:, :1]), Subspace.zero(2), Subspace(np.eye(2)))
+        return [atom(9), randoms[0], atom(1), real, randoms[1], atom(8), randoms[2]]
+
+    def test_equals_the_nested_two_argument_sums(self):
+        # ((a + b) + c) + ... and a + (b + (c + ...))
+        members = self.members()
+        self.assert_same_bits(direct_sum(*members), reduce(direct_sum, members))
+        right = members[-1]
+        for system in reversed(members[:-1]):
+            right = direct_sum(system, right)
+        self.assert_same_bits(direct_sum(*members), right)
+
+    def test_one_member(self):
+        for system in self.members():
+            alone = direct_sum(system)
+            assert (alone.ambient_dim, alone.labels) == (system.ambient_dim, system.labels)
+            for x, y in zip(alone.subspaces, system.subspaces, strict=True):
+                assert x.basis.dtype == np.complex128
+                assert np.array_equal(x.basis, y.basis)
+
+    @pytest.mark.parametrize("labels", [
+        (("a", "b", "c"),) * 3,
+        (("a", "b", "c"), ("a", "b", "c"), ("a", "b", "x")),
+        (("a", "b", "c"), None, ("a", "b", "c")),
+        (None, ("a", "b", "c"), ("a", "b", "c")),
+        (None, None, None),
+    ])
+    def test_labels_follow_the_fold(self, labels):
+        members = [labelled(atom(i), given) for i, given in zip((9, 2, 7), labels)]
+        expected = labels[0] if len(set(labels)) == 1 else None
+        assert direct_sum(*members).labels == reduce(direct_sum, members).labels == expected
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_arity_mismatch_at_any_position(self, position):
+        members = [atom(9), atom(2), atom(5), atom(8)]
+        members[position] = SubspaceSystem.of(line(1, 0), line(0, 1))
+        with pytest.raises(ValueError, match="cannot sum systems of arity") as folded:
+            reduce(direct_sum, members)
+        with pytest.raises(ValueError) as summed:
+            direct_sum(*members)
+        assert str(summed.value) == str(folded.value)
+
+    def test_no_members(self):
+        with pytest.raises(ValueError, match="at least one system"):
+            direct_sum()
 
 
 class TestHom:
