@@ -603,6 +603,7 @@ def cmd_pentagon(args, overrides):
         n = args.example9
         if n < 2:
             raise _InputError(f"--example9 needs N >= 2, got {n}")
+        _admit_ambient(2 * n, "--example9")  # the truncation lives in C^(2N)
         rows = []
         for m in margin_sample_points(n):
             flat, graph = diagonal_graph_pair(m)

@@ -275,14 +275,25 @@ def is_transitive(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) ->
 def is_commutative(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when all projections onto the subspaces pairwise commute.
 
+    Each pair is read off its cross-Gram G = B_a^H B_b, and no n x n
+    projection is formed:
+
+        ||P_a P_b - P_b P_a|| = ||(I - P_a) P_b P_a|| = ||(B_b - B_a G) G^H||.
+
+    In the split C^n = ran P_a + ker P_a, P_b has off-diagonal block X, the
+    commutator is [[0, X], [-X^H, 0]] and (I - P_a) P_b P_a is [[0, 0],
+    [X^H, 0]]: both have norm ||X||.  The latter is (B_b - B_a G) G^H B_a^H,
+    and dropping the factor B_a^H, whose rows are orthonormal, keeps the
+    2-norm.  A zero subspace commutes with everything and is skipped.
+
     Note this is a property of the embedding, not of the isomorphism class:
     an invertible map can demote a commuting system to a non-commuting one.
     """
-    projections = [s.projection() for s in system.subspaces]
-    for i in range(len(projections)):
-        for j in range(i + 1, len(projections)):
-            commutator = projections[i] @ projections[j] - projections[j] @ projections[i]
-            if np.linalg.norm(commutator, 2) > tol.residual_tol:
+    bases = [s.basis for s in system.subspaces if s.dim]
+    for i, b_a in enumerate(bases):
+        for b_b in bases[i + 1 :]:
+            gram = b_a.conj().T @ b_b
+            if np.linalg.norm((b_b - b_a @ gram) @ gram.conj().T, 2) > tol.residual_tol:
                 return False
     return True
 

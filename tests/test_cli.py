@@ -981,6 +981,38 @@ class TestPentagonCommand:
         assert code == 0
         assert complex_out == real_out
 
+    # the truncation lives in C^(2N), and 759250125 (N = 379625063) is the
+    # least ambient dimension whose n x n complex matrix numpy cannot size
+    @pytest.mark.parametrize("n", [379625063, 10**9, 10**30])
+    def test_unsizeable_example9_is_refused_before_building(self, capsys, monkeypatch, n):
+        # refused by arithmetic on the integer, as a file's ambient_dim is;
+        # a regression that builds the pairs fails here instead of allocating
+        monkeypatch.setattr(cli, "diagonal_graph_pair", None)
+        monkeypatch.setattr(cli, "example9_truncated", None)
+        code, stdout, err = run(capsys, "pentagon", "--example9", str(n))
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: --example9: 'ambient_dim' {2 * n} is too large: numpy cannot size "
+            f"a {2 * n} x {2 * n} complex matrix\n"
+        )
+
+    def test_example9_numpy_refuses_is_located(self, capsys, monkeypatch):
+        # N = 379625062 is admitted (C^759250124); numpy's refusal of a
+        # later array is reported against --example9
+        def refuse(m):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "diagonal_graph_pair", refuse)
+        monkeypatch.setattr(cli, "example9_truncated", None)
+        code, stdout, err = run(capsys, "pentagon", "--example9", "379625062")
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            "error: --example9: 'ambient_dim' 759250124 is too large for this machine: "
+            "Unable to allocate 8.00 EiB\n"
+        )
+
     def test_distributive_file(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "dist.json", 3,

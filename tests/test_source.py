@@ -246,6 +246,27 @@ def test_detects_a_solve_and_a_sum_operator_matrix(tmp_path):
     ]
 
 
+def test_no_projection_matrix():
+    # every pair fact (gap, containment, angles, commutativity) comes off
+    # thin products of the two bases; Subspace.projection stays public
+    assert package_calls("projection") == []
+
+
+def test_detects_a_projection_matrix(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .linalg import Subspace\n"
+        "def is_commutative(system):\n"
+        "    projections = [s.projection() for s in system.subspaces]\n"
+        "    return projections\n"
+        "def gap(a, b):\n"
+        "    return Subspace.projection(a) - b.projection()\n"
+        "P = Subspace.zero(2).projection()\n"
+    )
+    calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == "projection"]
+    assert calls == [("is_commutative", 3), ("gap", 6), ("gap", 6), ("<module>", 7)]
+
+
 def test_complements_come_off_the_pair_svd():
     # the join complements of the skeleton and the in_neither part are
     # read off a pair SVD's full u; an n x n SVD of one basis serves only

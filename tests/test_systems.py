@@ -316,13 +316,83 @@ class TestHomRoute:
         assert shapes == complements + [(sum(rows) - rows[k], m * n - rows[k])]
 
 
+def reference_commutative(system, tol=DEFAULT_TOL):
+    """The reference route: every commutator P_a P_b - P_b P_a of two n x n
+    projections within residual_tol in the 2-norm."""
+    projections = [s.projection() for s in system.subspaces]
+    return all(
+        np.linalg.norm(pa @ pb - pb @ pa, 2) <= tol.residual_tol
+        for i, pa in enumerate(projections) for pb in projections[i + 1 :]
+    )
+
+
+def planted_pair(product, right_angle=False):
+    """Two lines of C^2 whose commutator has norm cos t sin t, within a
+    relative product^2, of a small ``product``: at a small angle t, or at
+    one just short of pi/2.  The small sine (or cosine) is written in
+    directly, not through a rounded angle."""
+    big = np.sqrt(1.0 - product**2)
+    second = line(product, big) if right_angle else line(big, product)
+    return SubspaceSystem.of(line(1.0, 0.0), second)
+
+
+# (label, system): zero and full sides commute with everything; planted
+# pairs put cos t sin t just below and just above residual_tol = 1e-8
+COMMUTING = [
+    ("coordinate", SubspaceSystem.of(line(1, 0), line(0, 1))),
+    ("equal", SubspaceSystem.of(line(1, 0), line(1, 0))),
+    ("zero", SubspaceSystem.of(Subspace.zero(2), line(1, 2))),
+    ("zero-zero", SubspaceSystem.of(Subspace.zero(2), Subspace.zero(2))),
+    ("full-line-zero", SubspaceSystem.of(Subspace.full(2), line(1, 2), Subspace.zero(2))),
+    ("full-full", SubspaceSystem.of(Subspace.full(3), Subspace.full(3))),
+    ("one", SubspaceSystem.of(line(1, 0))),
+    ("below-tol-small-angle", planted_pair(0.9e-8)),
+    ("below-tol-near-right-angle", planted_pair(0.9e-8, right_angle=True)),
+]
+
+NOT_COMMUTING = [
+    ("angled", angled_pair(0.4)),
+    ("zero-and-full-sides", SubspaceSystem.of(Subspace.zero(2), line(1, 0), Subspace.full(2), line(1, 1))),
+    ("above-tol-small-angle", planted_pair(1.1e-8)),
+    ("above-tol-near-right-angle", planted_pair(1.1e-8, right_angle=True)),
+]
+
+
 class TestCommutativity:
     def test_coordinate_pair_commutes(self):
-        system = SubspaceSystem.of(line(1, 0), line(0, 1))
-        assert is_commutative(system)
+        for label, system in COMMUTING:
+            assert is_commutative(system), label
+            assert reference_commutative(system), label
 
     def test_angled_pair_does_not(self):
-        assert not is_commutative(angled_pair(0.4))
+        for label, system in NOT_COMMUTING:
+            assert not is_commutative(system), label
+            assert not reference_commutative(system), label
+
+    def test_coordinate_subspaces_of_a_unitary_frame_commute(self):
+        # commuting pairs with shared directions: the arccos of their
+        # cosines reads those angles as up to ~5e-8, far above residual_tol,
+        # so a route through principal_angles would call most of them
+        # non-commuting; the cross-Gram reads ~1e-15
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            n = int(rng.integers(4, 41))
+            frame = haar_unitary(n, rng)
+            first, second = (frame[:, rng.random(n) < 0.5] for _ in range(2))
+            system = SubspaceSystem.of(Subspace(first), Subspace(second))
+            assert is_commutative(system)
+            assert reference_commutative(system)
+
+    @pytest.mark.parametrize("max_cond", [20.0, 1e6, 1e9, 1e10])
+    def test_agrees_with_the_projection_commutator_on_corpus(self, max_cond):
+        disagreements = []
+        for index, (vector, seed, cond) in enumerate(corpus_spec(max_cond=max_cond)):
+            system, _ = compose_from_multiplicities(vector, seed, cond)
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                pair = SubspaceSystem.of(system.subspaces[i], system.subspaces[j])
+                if is_commutative(pair) != reference_commutative(pair):
+                    disagreements.append((index, i, j))
+        assert disagreements == []
 
     def test_not_invariant_under_isomorphism(self):
         # the angled pair is isomorphic to the coordinate pair, yet one
