@@ -34,6 +34,12 @@ E2; the split is that SVD's pseudo-inverse.  The change of basis is then
 read off one block at a time, and certified as what it is: an isomorphism
 onto the coordinate normal form the nine multiplicities fix, by
 :func:`verify_isomorphism`, whose worst gap and condition it reports.
+
+Every block has only scalar endomorphisms, so a triple is transitive when
+it has one block and decomposable when it has more; the projector onto one
+block copy is then an idempotent witness.  :func:`find_nontrivial_idempotent`
+and the ``analyze`` command read both facts off the decomposition; only
+systems of other than three subspaces search ``hom_basis`` for a witness.
 """
 
 from __future__ import annotations
@@ -60,12 +66,15 @@ from .linalg import (
     meet,
 )
 from .systems import (
+    _SEARCH_TRIALS,
     IdempotentWitness,
     SubspaceSystem,
     _accept_idempotent,
     _certify_independent,
     _require_arity_three,
+    _search_idempotent,
     _stacked_rank,
+    hom_basis,
     verify_isomorphism,
 )
 from .two_subspaces import _oblique_split, _part_span
@@ -76,6 +85,7 @@ __all__ = [
     "InvariantVector",
     "brenner_decompose",
     "brenner_invariants",
+    "find_nontrivial_idempotent",
     "is_isomorphic_three",
     "isomorphism_between",
     "normalize_double_triangle",
@@ -418,9 +428,9 @@ def _normal_form(invariants: InvariantVector) -> SubspaceSystem:
 
 def _atom_idempotent(
     system: SubspaceSystem, decomposition: BrennerDecomposition, tol: ToleranceConfig
-) -> IdempotentWitness:
-    """Idempotent witness splitting one block copy off a triple with more
-    than one block.
+) -> Optional[IdempotentWitness]:
+    """Idempotent witness splitting one block copy off a triple, or None
+    when the triple is a single block.
 
     In normal-form coordinates the projector D onto the coordinates of one
     block copy (one coordinate, or the (q1_j, q2_j) pair of a triangle)
@@ -435,6 +445,8 @@ def _atom_idempotent(
     """
     c, b = decomposition.change_of_basis, decomposition.block_matrix
     invariants = decomposition.invariants
+    if invariants.total_atoms == 1:
+        return None
     at = _layout(invariants)
     copies = [(i,) for name in SLOT_NAMES[:7] for i in at[name]]
     copies += list(zip(at["triangle_1"], at["triangle_2"]))
@@ -453,6 +465,42 @@ def _atom_idempotent(
             f"({invariants.total_atoms} blocks)"
         )
     return witness
+
+
+def find_nontrivial_idempotent(
+    system: SubspaceSystem,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    trials: int = _SEARCH_TRIALS,
+    seed: int = 0,
+) -> Optional[IdempotentWitness]:
+    """A nontrivial idempotent endomorphism of the system, or None when it
+    is indecomposable.
+
+    A triple is read off :func:`brenner_decompose`: None for one block,
+    else the projector onto the block copy of smallest norm.  A triple it
+    cannot decide raises :class:`ConditioningError`, and ``trials`` and
+    ``seed`` have no effect on it.  Any other arity runs the seeded random
+    search over one ``hom_basis``: ``trials`` draws of End(system), for
+    which None is strong evidence of indecomposability.
+    """
+    return _endomorphisms(system, tol, trials, seed)[1]
+
+
+def _endomorphisms(system: SubspaceSystem, tol: ToleranceConfig, trials: int = _SEARCH_TRIALS, seed: int = 0):
+    """``(transitive, witness, invariants)`` of a system by its one route.
+
+    A triple takes one :func:`brenner_decompose`, whose notes are
+    re-emitted, and :func:`_atom_idempotent`; ``invariants`` is its
+    multiplicity vector.  Any other arity takes one ``hom_basis`` and the
+    seeded search over it; ``invariants`` is None."""
+    if system.arity == 3:
+        decomposition = brenner_decompose(system, tol)
+        for note in decomposition.warnings:
+            _note(note)
+        invariants = decomposition.invariants
+        return invariants.total_atoms == 1, _atom_idempotent(system, decomposition, tol), invariants
+    endos = hom_basis(system, system, tol)
+    return endos.dim == 1, _search_idempotent(system, endos, tol, trials, seed), None
 
 
 def verify_brenner(

@@ -45,7 +45,7 @@ from .brenner import (
     BLOCK_NAMES,
     SLOT_NAMES,
     InvariantVector,
-    _atom_idempotent,
+    _endomorphisms,
     _invariants_and_witness,
     _is_double_triangle,
     brenner_decompose,
@@ -57,7 +57,6 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
-    _note,
     orthonormalize,
     principal_angles,
 )
@@ -69,11 +68,8 @@ from .pentagon import (
     pentagon_split,
 )
 from .systems import (
-    _SEARCH_TRIALS,
     SubspaceSystem,
-    _search_idempotent,
     detect_pentagon,
-    hom_basis,
     is_commutative,
     verify_isomorphism,
 )
@@ -452,19 +448,7 @@ def cmd_analyze(args, overrides):
         "commutative": is_commutative(system, tol),
         "pairwise_angles": _angles_report(system),
     }
-    if system.arity == 3:
-        # Every Brenner block has only scalar endomorphisms, so one block
-        # means transitive and more than one means decomposable.
-        decomposition = brenner_decompose(system, tol)
-        for note in decomposition.warnings:
-            _note(note)
-        invariants = decomposition.invariants
-        transitive = invariants.total_atoms == 1
-        witness = None if transitive else _atom_idempotent(system, decomposition, tol)
-    else:
-        endos = hom_basis(system, system, tol)
-        transitive = endos.dim == 1
-        witness = _search_idempotent(system, endos, tol, _SEARCH_TRIALS, seed)
+    transitive, witness, invariants = _endomorphisms(system, tol, seed=seed)
     report["transitive"] = transitive
     report["decomposable"] = witness is not None
     report["split_dims"] = (

@@ -5,10 +5,11 @@ tuple of subspaces of that ambient space.  Morphisms between systems are
 the linear maps carrying the i-th subspace of the source into the i-th
 subspace of the target; :func:`hom_basis` computes a basis of that space by
 solving its largest constraint exactly and extracting the null space of the
-rest, and transitivity and the idempotent search are built on top of it.
-That null space still has up to n^2 coordinates, so the command line uses
-it only for systems of other than three subspaces; for three it reads the
-same facts off the Brenner decomposition.
+rest, and :func:`is_transitive` and the random idempotent search
+(``_search_idempotent``) are built on top of it.  That null space still
+has up to n^2 coordinates, so the search runs only on systems of other
+than three subspaces: ``brenner.find_nontrivial_idempotent`` reads a
+triple's split off its Brenner decomposition instead.
 
 Decomposability is handled the honest way round: a system is declared
 decomposable only by exhibiting a nontrivial idempotent endomorphism, and
@@ -46,7 +47,6 @@ __all__ = [
     "detect_double_triangle",
     "detect_pentagon",
     "direct_sum",
-    "find_nontrivial_idempotent",
     "hom_basis",
     "is_commutative",
     "is_transitive",
@@ -319,25 +319,6 @@ def _eigenvalue_clusters(values: np.ndarray, resolution: float):
     return clusters
 
 
-def find_nontrivial_idempotent(
-    system: SubspaceSystem,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    trials: int = _SEARCH_TRIALS,
-    seed: int = 0,
-) -> Optional[IdempotentWitness]:
-    """Search for a nontrivial idempotent endomorphism.
-
-    Draws random elements of End(system) in the hom basis, splits each
-    spectrum into clusters at absolute resolution 1e-6 (the element is
-    normalized to operator norm 1 first), and takes a spectral projection
-    onto one cluster.  For a decomposable system a random element separates
-    the summands with probability 1; ``trials`` failures in a row is strong
-    evidence of indecomposability, reported as None.  Deterministic for a
-    fixed ``seed``.
-    """
-    return _search_idempotent(system, hom_basis(system, system, tol), tol, trials, seed)
-
-
 def _search_idempotent(
     system: SubspaceSystem,
     endos: HomBasis,
@@ -345,8 +326,15 @@ def _search_idempotent(
     trials: int,
     seed: int,
 ) -> Optional[IdempotentWitness]:
-    """The random search of :func:`find_nontrivial_idempotent` over an
-    already computed basis of End(system)."""
+    """Search for a nontrivial idempotent among random elements of
+    End(system), given in an already computed basis ``endos``.
+
+    Each draw is normalized to operator norm 1, its spectrum split into
+    clusters at absolute resolution 1e-6, and the spectral projection onto
+    one cluster tried as a witness.  For a decomposable system a random
+    element separates the summands with probability 1; ``trials`` failures
+    in a row is strong evidence of indecomposability, reported as None.
+    Deterministic for a fixed ``seed``."""
     if endos.dim <= 1:
         return None
     stacked = np.stack(endos.maps)
@@ -452,21 +440,23 @@ def split_by_idempotent(
 
     first_parts, second_parts = [], []
     for s in system.subspaces:
-        # basis columns are unit vectors, so a vanished component is noise
-        # at scale 1; a relative cutoff would promote it to a dimension
-        inside_1 = _column_span(p @ s.basis, tol, scale=1.0)
+        # p is idempotent on s, so the singular values of p B are 0 or at
+        # least 1, and the part of s in the image is split at 0.5: rounding
+        # in a large p (norm ~1e2 at scramble condition 1e9) crosses the
+        # rank cutoff
+        image = p @ s.basis
+        u_1, values, _ = np.linalg.svd(image, full_matrices=False)
         # I - p is idempotent on s as well; the rest of s takes the count
-        # inside_1 leaves, as the kernel of _accept_idempotent does
-        rest = s.dim - inside_1.shape[1]
-        u, sigma, _ = np.linalg.svd(s.basis - p @ s.basis, full_matrices=False)
+        # the image part leaves, as the kernel of _accept_idempotent does
+        rest = s.dim - np.count_nonzero(values >= 0.5)
+        u_2, sigma, _ = np.linalg.svd(s.basis - image, full_matrices=False)
         unclean = _unclean_split(sigma, rest)
         if unclean:
             raise ConditioningError(
                 f"subspace does not split along the idempotent within tolerance ({unclean})"
             )
-        inside_2 = u[:, :rest]
-        first_parts.append(_in_carrier_coords(inside_1, h1))
-        second_parts.append(_in_carrier_coords(inside_2, h2))
+        first_parts.append(_in_carrier_coords(u_1[:, : s.dim - rest], h1))
+        second_parts.append(_in_carrier_coords(u_2[:, :rest], h2))
     sys1 = SubspaceSystem(h1.dim, tuple(first_parts), system.labels)
     sys2 = SubspaceSystem(h2.dim, tuple(second_parts), system.labels)
     return sys1, sys2

@@ -182,7 +182,7 @@ def test_criterion_3_isomorphism_decisions(corpus):
 
 
 def test_criterion_4_decomposability(corpus):
-    """The idempotent search finds a splitting exactly on multi-atom
+    """find_nontrivial_idempotent finds a splitting exactly on multi-atom
     systems: no witness on any single atom, a witness on everything else."""
     problems = []
     for i, (vector, seed, cond, system) in enumerate(corpus):
@@ -194,7 +194,7 @@ def test_criterion_4_decomposability(corpus):
             problems.append(
                 f"system {i}: missed a split of {vector.total_atoms} atoms"
             )
-    report(4, "decomposability decisions", problems, "200 systems, 8 trials each")
+    report(4, "decomposability decisions", problems, "200 systems, each read off its Brenner decomposition")
 
 
 def test_criterion_5_two_subspace_spectra():

@@ -139,7 +139,7 @@ def count_hom_basis_calls(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (systems, cli):
+    for module in (systems, brenner, cli):
         if getattr(module, "hom_basis", None) is original:
             monkeypatch.setattr(module, "hom_basis", counted)
     return calls

@@ -324,6 +324,36 @@ def test_detects_a_second_lattice_site(tmp_path, name, expected):
     assert calls == expected
 
 
+def test_one_end_route():
+    # a system's endomorphism facts come off one private dispatcher: the
+    # Brenner decomposition for a triple, one hom basis and the seeded
+    # search for any other arity; the CLI reaches neither route directly
+    assert package_calls("_search_idempotent") == [("brenner.py", "_endomorphisms")]
+    assert package_calls("_atom_idempotent") == [("brenner.py", "_endomorphisms")]
+    cli_calls = {callee for callee, _, _ in function_calls(PACKAGE / "cli.py")}
+    assert cli_calls & {"_search_idempotent", "_atom_idempotent", "hom_basis"} == set()
+
+
+def test_detects_a_second_end_route(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .systems import hom_basis as endomorphisms\n"
+        "from . import brenner, systems\n"
+        "def cmd_analyze(system, tol, seed):\n"
+        "    endos = endomorphisms(system, system, tol)\n"
+        "    return systems._search_idempotent(system, endos, tol, 8, seed)\n"
+        "def find_nontrivial_idempotent(system, decomposition, tol):\n"
+        "    return brenner._atom_idempotent(system, decomposition, tol)\n"
+    )
+    calls = [(callee, scope, line) for callee, scope, line in function_calls(module)
+             if callee in ("_search_idempotent", "_atom_idempotent", "hom_basis")]
+    assert calls == [
+        ("hom_basis", "cmd_analyze", 4),
+        ("_search_idempotent", "cmd_analyze", 5),
+        ("_atom_idempotent", "find_nontrivial_idempotent", 7),
+    ]
+
+
 def folded_direct_sums(path: Path) -> list:
     """Calls that fold ``direct_sum`` with ``reduce``, as ``(enclosing
     function, line)``: ``reduce`` or ``functools.reduce``, under any name it

@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -9,11 +10,13 @@ from subspacekit import (
     SLOT_ATOMS,
     SLOT_NAMES,
     ConditioningError,
+    ConditioningWarning,
     IdempotentWitness,
     Subspace,
     SubspaceSystem,
     are_linearly_independent,
     atom,
+    brenner_invariants,
     complement,
     compose_from_multiplicities,
     detect_double_triangle,
@@ -44,6 +47,13 @@ def line(*entries):
 def angled_pair(theta):
     """(C^2; first axis, line at angle theta)."""
     return SubspaceSystem.of(line(1.0, 0.0), line(np.cos(theta), np.sin(theta)))
+
+
+def four_lines(slope):
+    """Four lines of C^2: the two axes, the diagonal and a line of the given
+    slope.  Any three of the first lines already force every endomorphism
+    to be scalar, so the system is indecomposable."""
+    return SubspaceSystem.of(line(1, 0), line(0, 1), line(1, 1), line(1, slope))
 
 
 class TestSubspaceSystem:
@@ -420,20 +430,69 @@ class TestIdempotent:
         assert first.arity == second.arity == 3
 
     def test_deterministic_in_seed(self):
-        system = direct_sum(atom(2), atom(3))
-        w1 = find_nontrivial_idempotent(system, seed=5)
-        w2 = find_nontrivial_idempotent(system, seed=5)
-        assert np.array_equal(w1.map, w2.map)
+        # a triple is read off its decomposition; four subspaces run the
+        # seeded search, here over End = M_2(C) of a doubled four-line system
+        for system in (direct_sum(atom(2), atom(3)), direct_sum(four_lines(2), four_lines(2))):
+            w1 = find_nontrivial_idempotent(system, seed=5)
+            w2 = find_nontrivial_idempotent(system, seed=5)
+            assert np.array_equal(w1.map, w2.map)
+
+    def test_seed_and_trials_govern_only_the_search(self):
+        triple = direct_sum(atom(2), atom(3))
+        read = find_nontrivial_idempotent(triple)
+        assert np.array_equal(find_nontrivial_idempotent(triple, trials=0, seed=6).map, read.map)
+        four = direct_sum(four_lines(2), four_lines(2))
+        assert find_nontrivial_idempotent(four, trials=0) is None
+        assert not np.allclose(find_nontrivial_idempotent(four, seed=6).map,
+                               find_nontrivial_idempotent(four, seed=5).map)
 
     def test_scrambled_decomposable_found(self):
         rng = np.random.default_rng(17)
-        base = direct_sum(direct_sum(atom(5), atom(9)), atom(1))
-        t = haar_unitary(base.ambient_dim, rng)
-        system = map_system(t, base)
-        witness = find_nontrivial_idempotent(system)
-        assert witness is not None
-        p = witness.map
-        assert np.linalg.norm(p @ p - p, 2) < 1e-8
+        point = SubspaceSystem.of(line(1), Subspace.zero(1), line(1), Subspace.zero(1))
+        bases = (direct_sum(atom(5), atom(9), atom(1)), direct_sum(four_lines(2), four_lines(3), point))
+        for base in bases:
+            t = haar_unitary(base.ambient_dim, rng)
+            system = map_system(t, base)
+            witness = find_nontrivial_idempotent(system)
+            assert witness is not None
+            p = witness.map
+            assert np.linalg.norm(p @ p - p, 2) < 1e-8
+            split_by_idempotent(system, witness)
+
+    def test_corpus_triples_split_or_refuse(self):
+        # every single atom reads None; every multi-atom triple is refused
+        # or gives a witness that splits it, never read as indecomposable
+        # (the hom_basis search read 10 of these as None).  The parts'
+        # invariants add up, where the skeleton reads them: on entry 176 it
+        # refuses the 15-dimensional part, as it refuses some whole triples.
+        problems, refused, parts_refused = [], 0, 0
+        for i, (vector, seed, cond) in enumerate(corpus_spec(max_cond=1e9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                system, _ = compose_from_multiplicities(vector, seed, cond)
+                if vector.total_atoms == 1:
+                    if find_nontrivial_idempotent(system) is not None:
+                        problems.append(f"system {i}: split a single atom")
+                    continue
+                try:
+                    witness = find_nontrivial_idempotent(system)
+                except ConditioningError:
+                    refused += 1
+                    continue
+                if witness is None:
+                    problems.append(f"system {i}: missed a split of {vector.total_atoms} atoms")
+                    continue
+                first, second = split_by_idempotent(system, witness)
+                try:
+                    parts = brenner_invariants(first) + brenner_invariants(second)
+                except ConditioningError:
+                    parts_refused += 1
+                    continue
+                if parts != vector:
+                    problems.append(f"system {i}: parts do not add up to {vector.as_tuple()}")
+        assert problems == []
+        assert refused <= 8
+        assert parts_refused <= 1
 
     def test_split_rejects_trivial_witness(self):
         system = direct_sum(atom(2), atom(3))
