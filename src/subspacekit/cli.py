@@ -37,7 +37,7 @@ import json
 import os
 import sys
 from contextvars import ContextVar
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -79,6 +79,10 @@ ENV_PREFIX = "SUBSPACEKIT_"
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 _TOL_KEYS = ("rank_rtol", "gap_tol", "residual_tol", "cond_warn")
+# Each setting a flag or a SUBSPACEKIT_* variable gives, with the type its
+# variable is read as; the flag wins.
+_SETTINGS = (("rank_rtol", float), ("gap_tol", float), ("residual_tol", float), ("seed", int))
+_TYPE_NAMES = {float: "a number", int: "an integer"}
 # (file or flag, ambient_dim) of each system the running command has
 # admitted, so that numpy's refusal to allocate can be reported against it.
 _ADMITTED: ContextVar = ContextVar("subspacekit_admitted", default=None)
@@ -169,12 +173,37 @@ def _tol_dict(tol: ToleranceConfig):
     return {key: getattr(tol, key) for key in _TOL_KEYS}
 
 
+def _header(system: SubspaceSystem, command=None, path=None, tol=None) -> dict:
+    """The fields a report on ``system`` opens with: its dimensions, the
+    command when given, and the input file with its tolerances when the
+    system was read from one."""
+    header = {"ambient_dim": system.ambient_dim, "subspace_dims": list(system.dims())}
+    if command is not None:
+        header["command"] = command
+    if path is not None:
+        header.update(input=path, tolerances=_tol_dict(tol))
+    return header
+
+
+def _pair_table(system: SubspaceSystem, value) -> dict:
+    """``value(a, b)`` for every pair of subspaces, keyed "i-j" (from 1,
+    i < j); None for a pair on which it raises ValueError."""
+    table = {}
+    for (i, a), (j, b) in combinations(enumerate(system.subspaces, 1), 2):
+        try:
+            table[f"{i}-{j}"] = value(a, b)
+        except ValueError:
+            table[f"{i}-{j}"] = None
+    return table
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-rtol", dest="rank_rtol", type=float, default=None,
                         help="relative singular value cutoff for rank decisions")
     common.add_argument("--gap-tol", dest="gap_tol", type=float, default=None,
-                        help="projection-gap threshold for subspace equality")
+                        help="subspace-equality threshold of the library's same_subspace; "
+                             "listed under a report's tolerances, but no command reads it")
     common.add_argument("--residual-tol", dest="residual_tol", type=float, default=None,
                         help="acceptance threshold for verification residuals")
     common.add_argument("--seed", type=int, default=None,
@@ -237,30 +266,16 @@ _PARSER = _build_parser()
 
 def _gather_overrides(args) -> dict:
     out = {}
-    for key, env_name in (
-        ("rank_rtol", "RANK_RTOL"),
-        ("gap_tol", "GAP_TOL"),
-        ("residual_tol", "RESIDUAL_TOL"),
-    ):
-        flag = getattr(args, key)
-        if flag is not None:
-            out[key] = flag
-            continue
-        raw = os.environ.get(ENV_PREFIX + env_name)
-        if raw is not None:
+    for key, kind in _SETTINGS:
+        value, name = getattr(args, key), ENV_PREFIX + key.upper()
+        raw = os.environ.get(name)
+        if value is None and raw is not None:
             try:
-                out[key] = float(raw)
+                value = kind(raw)
             except ValueError:
-                raise _InputError(f"{ENV_PREFIX}{env_name} is not a number: {raw!r}")
-    if args.seed is not None:
-        out["seed"] = args.seed
-    else:
-        raw = os.environ.get(ENV_PREFIX + "SEED")
-        if raw is not None:
-            try:
-                out["seed"] = int(raw)
-            except ValueError:
-                raise _InputError(f"{ENV_PREFIX}SEED is not an integer: {raw!r}")
+                raise _InputError(f"{name} is not {_TYPE_NAMES[kind]}: {raw!r}")
+        if value is not None:
+            out[key] = value
     fmt = args.fmt or os.environ.get(ENV_PREFIX + "FORMAT")
     if fmt not in (None, "json", "text"):
         raise _InputError(f"{ENV_PREFIX}FORMAT must be 'json' or 'text', got {fmt!r}")
@@ -421,32 +436,22 @@ def _load_system(path: str, overrides: dict):
     return _system_from_payload(payload, tol, path), tol
 
 
-def _angles_report(system: SubspaceSystem):
-    out = {}
-    for i in range(system.arity):
-        for j in range(i + 1, system.arity):
-            a, b = system.subspaces[i], system.subspaces[j]
-            key = f"{i + 1}-{j + 1}"
-            if a.dim == 0 or b.dim == 0:
-                out[key] = None
-            else:
-                out[key] = [_sci(t) for t in principal_angles(a, b)]
-    return out
+def _load_triple(args, overrides):
+    system, tol = _load_system(args.file, overrides)
+    if system.arity != 3:
+        raise _InputError(f"{args.command} needs exactly three subspaces, file has {system.arity}")
+    return system, tol
 
 
 def cmd_analyze(args, overrides):
     system, tol = _load_system(args.file, overrides)
     seed = overrides.get("seed", 0)
     report = {
-        "command": "analyze",
-        "input": args.file,
-        "ambient_dim": system.ambient_dim,
-        "subspace_dims": list(system.dims()),
+        **_header(system, "analyze", args.file, tol),
         "labels": list(system.labels) if system.labels else None,
-        "tolerances": _tol_dict(tol),
         "seed": seed,
         "commutative": is_commutative(system, tol),
-        "pairwise_angles": _angles_report(system),
+        "pairwise_angles": _pair_table(system, lambda a, b: list(map(_sci, principal_angles(a, b)))),
     }
     transitive, witness, invariants = _endomorphisms(system, tol, seed=seed)
     report["transitive"] = transitive
@@ -462,18 +467,12 @@ def cmd_analyze(args, overrides):
 
 
 def cmd_decompose(args, overrides):
-    system, tol = _load_system(args.file, overrides)
-    if system.arity != 3:
-        raise _InputError(f"decompose needs exactly three subspaces, file has {system.arity}")
+    system, tol = _load_triple(args, overrides)
     decomposition = brenner_decompose(system, tol)
     check = verify_brenner(system, decomposition, tol)
     ok = decomposition.residual <= tol.residual_tol and check.passed
     report = {
-        "command": "decompose",
-        "input": args.file,
-        "ambient_dim": system.ambient_dim,
-        "subspace_dims": list(system.dims()),
-        "tolerances": _tol_dict(tol),
+        **_header(system, "decompose", args.file, tol),
         "block_dims": dict(zip(SLOT_NAMES, decomposition.invariants.as_tuple())),
         "residual": _sci(decomposition.residual),
         "verified": bool(check.passed),
@@ -556,25 +555,22 @@ def cmd_generate(args, overrides):
         ],
     }
     truth = {
+        **_header(system),
         "multiplicities": list(vector.as_tuple()),
         "slot_names": list(SLOT_NAMES),
         "seed": seed,
         "cond_bound": float(args.cond),
-        "ambient_dim": system.ambient_dim,
-        "subspace_dims": list(system.dims()),
     }
     truth_path = _truth_path(args.output)
     for path, content in ((args.output, payload), (truth_path, truth)):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_json_text(content) + "\n")
     report = {
-        "command": "generate",
+        **_header(system, "generate"),
         "output": args.output,
         "truth_output": truth_path,
         "seed": seed,
         "cond_bound": float(args.cond),
-        "ambient_dim": system.ambient_dim,
-        "subspace_dims": list(system.dims()),
         "multiplicities": dict(zip(SLOT_NAMES, vector.as_tuple())),
     }
     return report, 0
@@ -600,53 +596,29 @@ def cmd_pentagon(args, overrides):
         tol = _merge_tolerances({}, overrides, "--")
         truncated = example9_truncated(n)
         report = {
-            "command": "pentagon",
+            **_header(truncated, "pentagon"),
             "example9_n": n,
-            "ambient_dim": truncated.ambient_dim,
-            "subspace_dims": list(truncated.dims()),
             "pentagon_detected": detect_pentagon(truncated, tol),
             "margins": rows,
         }
         return report, 0
 
-    system, tol = _load_system(args.file, overrides)
-    if system.arity != 3:
-        raise _InputError(f"pentagon needs exactly three subspaces, file has {system.arity}")
+    system, tol = _load_triple(args, overrides)
     split = pentagon_split(system, tol)  # ValueError (hypothesis failure) -> exit 2
+    # base, first_remainder, third_outside and pentagon_part may be None
+    part = split.pentagon_part
     report = {
-        "command": "pentagon",
-        "input": args.file,
-        "ambient_dim": system.ambient_dim,
-        "subspace_dims": list(system.dims()),
-        "tolerances": _tol_dict(tol),
+        **_header(system, "pentagon", args.file, tol),
         "case": split.case,
         "witness_count": split.witness_count,
         "bridge_dim": split.bridge.dim,
-        "base_dim": split.base.dim if split.base is not None else None,
-        "first_remainder_dim": (
-            split.first_remainder.dim if split.first_remainder is not None else None
-        ),
-        "third_outside_dim": (
-            split.third_outside.dim if split.third_outside is not None else None
-        ),
-        "pentagon_part_dims": (
-            list(split.pentagon_part.dims()) if split.pentagon_part is not None else None
-        ),
-        "pentagon_part_ambient": (
-            split.pentagon_part.ambient_dim if split.pentagon_part is not None else None
-        ),
+        "base_dim": getattr(split.base, "dim", None),
+        "first_remainder_dim": getattr(split.first_remainder, "dim", None),
+        "third_outside_dim": getattr(split.third_outside, "dim", None),
+        "pentagon_part_dims": None if part is None else list(part.dims()),
+        "pentagon_part_ambient": getattr(part, "ambient_dim", None),
+        "margins": _pair_table(system, lambda a, b: _sci(closedness_margin(a, b).min_positive_angle)),
     }
-    margins = {}
-    for key, (a, b) in (
-        ("1-2", (system.subspaces[0], system.subspaces[1])),
-        ("1-3", (system.subspaces[0], system.subspaces[2])),
-        ("2-3", (system.subspaces[1], system.subspaces[2])),
-    ):
-        try:
-            margins[key] = _sci(closedness_margin(a, b).min_positive_angle)
-        except ValueError:
-            margins[key] = None
-    report["margins"] = margins
     return report, 0
 
 

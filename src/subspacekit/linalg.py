@@ -78,7 +78,10 @@ class ToleranceConfig:
         Relative cutoff for rank decisions: singular values above
         ``rank_rtol * scale`` count toward the rank.
     gap_tol
-        Two subspaces within this projection-norm distance are equal.
+        Two subspaces within this projection-norm distance are equal; read
+        only by :func:`same_subspace`.  ``verify_brenner`` and
+        ``verify_isomorphism`` compare their gaps with ``residual_tol``, so
+        no command-line result depends on it.
     residual_tol
         Acceptance threshold for verification residuals.
     cond_warn

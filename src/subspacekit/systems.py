@@ -299,24 +299,20 @@ def is_commutative(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
 
 
 def _eigenvalue_clusters(values: np.ndarray, resolution: float):
-    """Connected components of the spectrum at the given absolute gap."""
-    k = values.size
-    unassigned = set(range(k))
-    clusters = []
-    while unassigned:
-        seed_idx = min(unassigned)
-        component = {seed_idx}
-        frontier = [seed_idx]
-        unassigned.discard(seed_idx)
-        while frontier:
-            i = frontier.pop()
-            nearby = [j for j in list(unassigned) if abs(values[i] - values[j]) < resolution]
-            for j in nearby:
-                unassigned.discard(j)
-                component.add(j)
-                frontier.append(j)
-        clusters.append(np.array(sorted(component)))
-    return clusters
+    """Connected components of the spectrum at the given absolute gap, each
+    sorted, in the order of their least index.  Squaring the adjacency
+    ``|values[i] - values[j]| < resolution`` until it stops growing gives
+    its transitive closure; each index is labelled by the least index it
+    reaches."""
+    reach = np.abs(values[:, None] - values[None, :]) < resolution
+    np.fill_diagonal(reach, True)
+    while True:
+        grown = reach @ reach
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    labels = reach.argmax(axis=1)
+    return [np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))]
 
 
 def _search_idempotent(

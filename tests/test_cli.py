@@ -22,9 +22,12 @@ from subspacekit import (
     brenner_invariants,
     catalog,
     cli,
+    closedness_margin,
     compose_from_multiplicities,
     detect_double_triangle,
     hom_basis,
+    orthonormalize,
+    principal_angles,
     split_by_idempotent,
     systems,
 )
@@ -110,6 +113,18 @@ class TestAnalyze:
         assert code == 0
         assert report["subspace_dims"] == [0, 1, 1]
         assert report["pairwise_angles"]["1-2"] is None
+
+    def test_pair_table_over_four_subspaces(self, capsys, tmp_path):
+        spans = [[[1, 0, 0]], [], [[0, 1, 0], [1, 1, 0]], [[1, 1, 1]]]
+        path = write_system(tmp_path / "four.json", 3, spans)
+        code, report = run_json(capsys, "analyze", path)
+        assert code == 0
+        angles = report["pairwise_angles"]
+        assert list(angles) == ["1-2", "1-3", "1-4", "2-3", "2-4", "3-4"]
+        assert angles["1-2"] is None and angles["2-3"] is None and angles["2-4"] is None
+        for key in ("1-3", "1-4", "3-4"):
+            a, b = (orthonormalize(spans[int(i) - 1]) for i in key.split("-"))
+            assert angles[key] == [cli._sci(t) for t in principal_angles(a, b)]
 
     def test_text_format(self, capsys, remark_file):
         code, out, err = run(capsys, "analyze", remark_file, "--text")
@@ -1037,6 +1052,20 @@ class TestPentagonCommand:
         assert report["third_outside_dim"] == 1
         assert report["pentagon_part_dims"] == [1, 1, 2]
 
+    def test_file_margins_per_pair(self, capsys, tmp_path):
+        # E2 lies inside E3, so 2-3 has no positive angle and no margin
+        spans = [[[1, 1, 0]], [[0, 0, 1]], [[0, 0, 1], [0, 1, 1]]]
+        path = write_system(tmp_path / "pent.json", 3, spans)
+        code, report = run_json(capsys, "pentagon", path)
+        assert code == 0
+        margins = report["margins"]
+        assert list(margins) == ["1-2", "1-3", "2-3"]
+        assert margins["2-3"] is None
+        for key in ("1-2", "1-3"):
+            a, b = (orthonormalize(spans[int(i) - 1]) for i in key.split("-"))
+            assert margins[key] == cli._sci(closedness_margin(a, b).min_positive_angle)
+        assert margins["1-2"] != margins["1-3"]
+
     def test_hypothesis_failure_exits_2(self, capsys, tmp_path):
         path = write_system(
             tmp_path / "bad.json", 2, [[[1, 0]], [[1, 0]], [[1, 0], [0, 1]]]
@@ -1104,6 +1133,8 @@ class TestToleranceHandling:
         assert code != 0
 
     def test_seed_env_and_flag(self, capsys, remark_file, monkeypatch):
+        code, report = run_json(capsys, "analyze", remark_file)
+        assert report["seed"] == 0
         monkeypatch.setenv("SUBSPACEKIT_SEED", "17")
         code, report = run_json(capsys, "analyze", remark_file)
         assert report["seed"] == 17
@@ -1115,6 +1146,40 @@ class TestToleranceHandling:
         code, out, err = run(capsys, "analyze", remark_file)
         assert code == 2
         assert "SUBSPACEKIT_RANK_RTOL" in err
+        assert (out, err) == ("", "error: SUBSPACEKIT_RANK_RTOL is not a number: 'soft'\n")
+
+    @pytest.mark.parametrize("key", ["rank_rtol", "gap_tol", "residual_tol"])
+    def test_tolerance_precedence(self, capsys, tmp_path, monkeypatch, key):
+        spans = [[[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]], [[1, 1, 1]]]
+        plain = write_system(tmp_path / "plain.json", 3, spans)
+        block = write_system(tmp_path / "block.json", 3, spans, tolerances={key: 2e-9})
+
+        def reported(*argv):
+            code, report = run_json(capsys, "analyze", *argv)
+            assert code == 0
+            return report["tolerances"][key]
+
+        assert reported(plain) == getattr(DEFAULT_TOL, key)
+        assert reported(block) == 2e-9
+        monkeypatch.setenv("SUBSPACEKIT_" + key.upper(), "3e-9")
+        assert reported(plain) == reported(block) == 3e-9
+        flag = "--" + key.replace("_", "-")
+        assert reported(plain, flag, "4e-9") == reported(block, flag, "4e-9") == 4e-9
+
+    @pytest.mark.parametrize("name, kind, raw", [
+        ("GAP_TOL", "a number", "1e-8x"),
+        ("RESIDUAL_TOL", "a number", ""),
+        ("SEED", "an integer", "1.5"),
+    ])
+    def test_unparsable_env_value_is_named(self, capsys, remark_file, monkeypatch, name, kind, raw):
+        monkeypatch.setenv("SUBSPACEKIT_" + name, raw)
+        code, out, err = run(capsys, "analyze", remark_file)
+        assert (code, out) == (2, "")
+        assert err == f"error: SUBSPACEKIT_{name} is not {kind}: {raw!r}\n"
+        # a flag for the setting wins, so the variable is never read
+        flag = "--" + name.lower().replace("_", "-")
+        code, report = run_json(capsys, "analyze", remark_file, flag, "3" if name == "SEED" else "3e-9")
+        assert code == 0
 
     def test_env_format(self, capsys, remark_file, monkeypatch):
         monkeypatch.setenv("SUBSPACEKIT_FORMAT", "text")

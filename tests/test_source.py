@@ -548,3 +548,75 @@ def test_detects_a_copied_certificate(tmp_path):
     )
     calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == "gap"]
     assert calls == [("verify_brenner", 4), ("_normal_form_residual", 6), ("_assemble", 8)]
+
+
+def dictionary_key_writes(path: Path, keys) -> list:
+    """Where a module writes one of ``keys`` as a dictionary key, as
+    ``(key, enclosing function, line)``: a string key of a dict literal, a
+    keyword of a ``dict(...)`` or ``.update(...)`` call, or a string
+    subscript assigned to; ``<module>`` is the top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            written = []
+            if isinstance(child, ast.Dict):
+                written = [(k.value, k) for k in child.keys if isinstance(k, ast.Constant)]
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("dict", "update"):
+                    written = [(k.arg, k) for k in child.keywords if k.arg is not None]
+            elif isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store):
+                if isinstance(child.slice, ast.Constant):
+                    written = [(child.slice.value, child)]
+            found.extend((key, scope, at.lineno, at.col_offset) for key, at in written if key in keys)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(tree, "<module>")
+    return [write[:3] for write in sorted(found, key=lambda write: write[2:])]
+
+
+HEADER_KEYS = ("command", "input", "ambient_dim", "subspace_dims", "tolerances")
+
+
+def test_one_report_header():
+    # the fields a report on one system opens with are written by
+    # cli._header; isomorphic names its command and shared tolerances over
+    # two inputs, and the system file generate writes has its ambient_dim
+    writers = {}
+    for key, scope, _ in dictionary_key_writes(PACKAGE / "cli.py", HEADER_KEYS):
+        writers.setdefault(key, []).append(scope)
+    assert writers == {
+        "ambient_dim": ["_header", "cmd_generate"],
+        "subspace_dims": ["_header"],
+        "command": ["_header", "cmd_isomorphic"],
+        "input": ["_header"],
+        "tolerances": ["_header", "cmd_isomorphic"],
+    }
+
+
+def test_detects_a_second_report_header(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def _header(system, command):\n"
+        "    return {'command': command, 'ambient_dim': system.ambient_dim}\n"
+        "def cmd_decompose(args, system, tol):\n"
+        "    report = dict(input=args.file, tolerances=tol, seed=0)\n"
+        "    report['subspace_dims'] = list(system.dims())\n"
+        "    report.update(command='decompose')\n"
+        "    return {**report, 'input': args.file, args.key: 1}, report.get('input')\n"
+        "DEFAULTS = {'tolerances': {}}\n"
+    )
+    assert dictionary_key_writes(module, HEADER_KEYS) == [
+        ("command", "_header", 2),
+        ("ambient_dim", "_header", 2),
+        ("input", "cmd_decompose", 4),
+        ("tolerances", "cmd_decompose", 4),
+        ("subspace_dims", "cmd_decompose", 5),
+        ("command", "cmd_decompose", 6),
+        ("input", "cmd_decompose", 7),
+        ("tolerances", "<module>", 8),
+    ]

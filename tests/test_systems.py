@@ -37,6 +37,7 @@ from subspacekit import (
     verify_isomorphism,
 )
 from subspacekit.linalg import _numerical_rank
+from subspacekit.systems import _eigenvalue_clusters
 from conftest import corpus_spec, random_subspace
 
 
@@ -502,6 +503,34 @@ class TestIdempotent:
         )
         with pytest.raises(ValueError, match="trivial"):
             split_by_idempotent(system, bogus)
+
+    def test_eigenvalue_clusters_chain_and_order(self):
+        # 0.7e-6 steps chain 1, 1 + 0.7e-6i, ... into one cluster at
+        # resolution 1e-6 though its ends lie 2.1e-6 apart; 5 and 5 + 2e-6
+        # stay apart; each cluster is sorted, ordered by its least index
+        values = np.array([5.0, 1.0, 1.0 + 1.4e-6j, 3.0, 1.0 + 0.7e-6j, 5.0 + 2e-6, 1.0 + 2.1e-6j])
+        clusters = _eigenvalue_clusters(values, 1e-6)
+        assert [c.tolist() for c in clusters] == [[0], [1, 2, 4, 6], [3], [5]]
+
+    def test_eigenvalue_clusters_agree_with_a_graph_search(self):
+        def reference(values, resolution):
+            unassigned, clusters = list(range(values.size)), []
+            while unassigned:
+                component = [unassigned.pop(0)]
+                for i in component:
+                    near = [j for j in unassigned if abs(values[i] - values[j]) < resolution]
+                    unassigned = [j for j in unassigned if j not in near]
+                    component += near
+                clusters.append(sorted(component))
+            return clusters
+
+        rng = np.random.default_rng(7)
+        for k in range(1, 25):
+            centers = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            steps = np.cumsum(rng.uniform(0.0, 1.3e-6, k)) * np.exp(1j * rng.uniform(0.0, 6.3))
+            values = centers[rng.integers(0, 3, k)] + steps[rng.permutation(k)]
+            clusters = _eigenvalue_clusters(values, 1e-6)
+            assert [c.tolist() for c in clusters] == reference(values, 1e-6)
 
     def test_split_rejects_non_endomorphism(self):
         system = direct_sum(atom(2), atom(3))
