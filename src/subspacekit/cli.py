@@ -275,6 +275,9 @@ def _gather_overrides(args) -> dict:
             except ValueError:
                 raise _InputError(f"{name} is not {_TYPE_NAMES[kind]}: {raw!r}")
         if value is not None:
+            if key == "seed" and value < 0:
+                where = name if getattr(args, key) is None else "--seed"
+                raise _InputError(f"{where} must be a non-negative integer, got {value}")
             out[key] = value
     fmt = args.fmt or os.environ.get(ENV_PREFIX + "FORMAT")
     if fmt not in (None, "json", "text"):
@@ -301,10 +304,7 @@ def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
     for key in _TOL_KEYS:
         if key in overrides:
             merged[key] = overrides[key]
-    try:
-        return ToleranceConfig(**merged)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    return ToleranceConfig(**merged)
 
 
 def _parse_entry(value, where: str) -> complex:
@@ -533,19 +533,13 @@ def cmd_generate(args, overrides):
         raise _InputError(f"--mult must be nine comma-separated integers, got {args.mult!r}")
     if len(counts) != 9:
         raise _InputError(f"--mult needs exactly nine values, got {len(counts)}")
-    try:
-        vector = InvariantVector.from_iterable(counts)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    vector = InvariantVector.from_iterable(counts)
     seed = overrides.get("seed", 0)
     if not np.isfinite(args.cond) or args.cond < 1.0:
         raise _InputError(f"--cond must be a finite number >= 1, got {args.cond!r}")
     tol = _merge_tolerances({}, overrides, "--")
     _admit_ambient(vector.total_dim, "--mult")
-    try:
-        system, _ = compose_from_multiplicities(vector, seed, args.cond, tol)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    system, _ = compose_from_multiplicities(vector, seed, args.cond, tol)
 
     payload = {
         "ambient_dim": system.ambient_dim,

@@ -149,8 +149,6 @@ def _numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig, scale=Non
     if s.size == 0:
         return 0
     reference = float(s.max()) if scale is None else float(scale)
-    if reference <= 0.0:
-        return 0
     cutoff = tol.rank_rtol * reference
     _warn_near_cutoff(s, cutoff)
     return int(np.count_nonzero(s > cutoff))
@@ -266,26 +264,24 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
     ``vectors`` is a sequence of length-n vectors; a 2-d array is read as a
     stack of row vectors.  Dependent and zero vectors are allowed, the span
     is extracted with the shared rank rule.  An empty sequence yields the
-    zero subspace and needs an explicit ``ambient_dim``.
+    zero subspace and needs an explicit ``ambient_dim``; a (0, n) array is
+    the zero subspace of C^n, and ``ambient_dim``, when given, must be n.
     """
     array = np.asarray(vectors, dtype=np.complex128)
-    if array.ndim == 1:
-        if array.size == 0:
-            if ambient_dim is None:
-                raise ValueError("an empty spanning set needs an explicit ambient_dim")
-            return Subspace.zero(int(ambient_dim))
-        array = array[None, :]
+    if array.ndim == 1:  # one vector, or none: [] is read as (0, 0)
+        array = array.reshape(1 if array.size else 0, array.size)
     if array.ndim != 2:
         raise ValueError(f"expected a sequence of vectors, got an array of shape {array.shape}")
+    # only (0, 0) leaves the length to ambient_dim
+    if ambient_dim is not None and array.shape != (0, 0) and array.shape[1] != int(ambient_dim):
+        raise ValueError(
+            f"vectors have length {array.shape[1]} but ambient_dim={ambient_dim} was requested"
+        )
     if array.shape[0] == 0:
         n = array.shape[1] if array.shape[1] else ambient_dim
         if n is None:
             raise ValueError("an empty spanning set needs an explicit ambient_dim")
         return Subspace.zero(int(n))
-    if ambient_dim is not None and array.shape[1] != int(ambient_dim):
-        raise ValueError(
-            f"vectors have length {array.shape[1]} but ambient_dim={ambient_dim} was requested"
-        )
     if not (np.all(np.isfinite(array.real)) and np.all(np.isfinite(array.imag))):
         raise ValueError("spanning vectors must be finite")
     return Subspace(_column_span(array.T, tol))

@@ -34,11 +34,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    ConditioningError,
     Subspace,
     ToleranceConfig,
     _by_construction,
-    _column_span,
     _complement_in,
     _meet_join,
     _split,
@@ -143,36 +141,20 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
         # of all three parts gives that of E2 and the bridge: a column
         # subset's singular values interlace with those of the whole.
         _certify_independent((e2, bridge, first_rest), tol, "split parts")
-        return PentagonSplit(
-            case=CASE_DISTRIBUTIVE,
-            bridge=bridge,
-            base=e2,
-            first_remainder=first_rest,
-            third_outside=None,
-            pentagon_part=None,
-            quotient_vectors=u,
-            first_components=v,
-            second_components=w,
-        )
-
-    # [first_rest | E2 | third_outside], a column subset of the certified stack,
-    # keeps full rank under the same relative cutoff: its join carries the core.
-    _certify_independent((bridge, first_rest, e2, third_outside), tol, "pentagon parts")
-    with _by_construction():
-        third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
-        carrier = join(first_rest, third_core, tol)
-        core = restrict_system(SubspaceSystem.of(first_rest, e2, third_core), carrier, tol)
-    return PentagonSplit(
-        case=CASE_PENTAGON,
-        bridge=bridge,
-        base=None,
-        first_remainder=None,
-        third_outside=third_outside,
-        pentagon_part=core,
-        quotient_vectors=u,
-        first_components=v,
-        second_components=w,
-    )
+        parts = dict(case=CASE_DISTRIBUTIVE, base=e2, first_remainder=first_rest,
+                     third_outside=None, pentagon_part=None)
+    else:
+        # [first_rest | E2 | third_outside], a column subset of the certified stack,
+        # keeps full rank under the same relative cutoff: its join carries the core.
+        _certify_independent((bridge, first_rest, e2, third_outside), tol, "pentagon parts")
+        with _by_construction():
+            third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
+            carrier = join(first_rest, third_core, tol)
+            core = restrict_system(SubspaceSystem.of(first_rest, e2, third_core), carrier, tol)
+        parts = dict(case=CASE_PENTAGON, base=None, first_remainder=None,
+                     third_outside=third_outside, pentagon_part=core)
+    return PentagonSplit(bridge=bridge, quotient_vectors=u, first_components=v,
+                         second_components=w, **parts)
 
 
 def example9_truncated(n: int) -> SubspaceSystem:
@@ -188,8 +170,9 @@ def example9_truncated(n: int) -> SubspaceSystem:
     Each basis is built in closed form.  E1's is [K + 0 | (0, v/|v|)] and
     E2's the graph basis (e_i, a_i e_i) / sqrt(1 + a_i^2), both exactly
     orthonormal.  E3's is the graph basis followed by an orthonormal basis
-    of the 2n x 2 residual of (0, f) and (0, v) against it (projected twice,
-    rank decided by the shared rule); a rank other than 2 raises
+    of the 2n x 2 residual of (0, f) and (0, v) against it (projected twice).
+    That span is taken by ``two_subspaces._part_span``, the one check of a
+    span that must keep its column count: a rank other than 2 raises
     :class:`ConditioningError`.
 
     At every finite n the triple fails the pentagon hypotheses (the graph
@@ -212,14 +195,9 @@ def example9_truncated(n: int) -> SubspaceSystem:
     extra[n:] = np.column_stack([weights, v])
     for _ in range(2):  # a second projection removes what the first left behind
         extra -= graph @ (graph.T @ extra)
-    outside = _column_span(extra, DEFAULT_TOL)
-    if outside.shape[1] != 2:
-        raise ConditioningError(
-            f"(0, f) and (0, v) leave a residual of rank {outside.shape[1]}, not 2, "
-            "against the graph"
-        )
+    outside = _part_span(extra, DEFAULT_TOL, "residual of (0, f) and (0, v) against the graph")
     return SubspaceSystem.of(
-        Subspace(flat), Subspace(graph), Subspace(np.hstack([graph, outside]))
+        Subspace(flat), Subspace(graph), Subspace(np.hstack([graph, outside.basis]))
     )
 
 

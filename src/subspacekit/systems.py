@@ -37,6 +37,7 @@ from .linalg import (
     contains,
     gap,
 )
+from .two_subspaces import _part_span
 
 __all__ = [
     "HomBasis",
@@ -184,21 +185,16 @@ def direct_sum(*systems: SubspaceSystem) -> SubspaceSystem:
 def map_system(matrix: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceSystem:
     """Apply an invertible linear map to every subspace of a system.
 
-    Raises :class:`ConditioningError` if any image drops dimension, which
-    for an invertible map can only mean the rank rule broke down.
+    Each image is spanned by ``two_subspaces._part_span``, which raises
+    :class:`ConditioningError` if it drops dimension: for an invertible map
+    that can only mean the rank rule broke down.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     n = system.ambient_dim
     if matrix.shape != (n, n):
         raise ValueError(f"map must be {n}x{n}, got {matrix.shape}")
-    images = []
-    for s in system.subspaces:
-        image = _column_span(matrix @ s.basis, tol)
-        if image.shape[1] != s.dim:
-            raise ConditioningError(
-                f"image of a {s.dim}-dimensional subspace came out {image.shape[1]}-dimensional"
-            )
-        images.append(Subspace(image))
+    images = (_part_span(matrix @ s.basis, tol, f"image of a {s.dim}-dimensional subspace")
+              for s in system.subspaces)
     return SubspaceSystem(n, tuple(images), system.labels)
 
 

@@ -224,8 +224,9 @@ def _oblique_split(first: Subspace, factors, rank: int, vectors: np.ndarray):
 
 
 def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
-    """Span of one part of an oblique split, which keeps the dimension of
-    the split columns when the split is reliable."""
+    """Span of columns that a construction must keep at their count, as one
+    part of an oblique split does when the split is reliable; ``label``
+    names them in the :class:`ConditioningError` a lower rank raises."""
     span = _column_span(part, tol)
     if span.shape[1] != part.shape[1]:
         raise ConditioningError(f"{label} came out {span.shape[1]}-dimensional, expected {part.shape[1]}")

@@ -499,6 +499,59 @@ class TestInputErrors:
         assert code == 2
         assert "three" in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "top level must be a JSON object"),
+        ({"ambient_dim": 0, "subspaces": [{"spanning_vectors": []}]},
+         "'ambient_dim' must be a positive integer"),
+        ({"ambient_dim": True, "subspaces": [{"spanning_vectors": []}]},
+         "'ambient_dim' must be a positive integer"),
+        ({"ambient_dim": 2.0, "subspaces": [{"spanning_vectors": []}]},
+         "'ambient_dim' must be a positive integer"),
+        ({"ambient_dim": 2, "subspaces": []}, "'subspaces' must be a nonempty array"),
+        ({"ambient_dim": 2, "subspaces": [[1, 0]]}, "subspaces[0] must be an object"),
+        ({"ambient_dim": 2, "subspaces": [{"name": 3, "spanning_vectors": []}]},
+         "subspaces[0].name must be a string"),
+        ({"ambient_dim": 2, "subspaces": [{"spanning_vectors": {"a": 1}}]},
+         "subspaces[0].spanning_vectors must be an array"),
+        ({"ambient_dim": 2, "subspaces": [{"spanning_vectors": []}], "tolerances": [1e-9]},
+         "'tolerances' must be an object"),
+        ({"ambient_dim": 2, "subspaces": [{"spanning_vectors": []}], "tolerances": {"gap_tol": "small"}},
+         "tolerance gap_tol must be a number"),
+        ({"ambient_dim": 2, "subspaces": [{"spanning_vectors": []}], "tolerances": {"gap_tol": True}},
+         "tolerance gap_tol must be a number"),
+    ], ids=["top-level", "ambient-zero", "ambient-bool", "ambient-float", "no-subspaces",
+            "entry", "name", "vectors", "tolerances", "tolerance-string", "tolerance-bool"])
+    def test_malformed_file_is_named(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "analyze", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+    def test_refused_tolerances(self, capsys, tmp_path, remark_file):
+        # ToleranceConfig's own ValueError, from a file block and from flags
+        path = write_system(tmp_path / "tol.json", 2, [[[1, 0]], [], []], tolerances={"rank_rtol": 2.0})
+        assert run(capsys, "analyze", path) == (2, "", "error: rank_rtol must be below 1, got 2.0\n")
+        refused = "error: rank_rtol must be finite and strictly positive, got -1.0\n"
+        assert run(capsys, "analyze", remark_file, "--rank-rtol=-1") == (2, "", refused)
+        out = tmp_path / "g.json"
+        assert run(capsys, "generate", "--mult", "1,0,0,0,0,0,0,0,0", "-o", str(out),
+                   "--rank-rtol=-1") == (2, "", refused)
+        assert not out.exists()
+
+    def test_isomorphic_needs_two_triples(self, capsys, tmp_path, remark_file):
+        pair = write_system(tmp_path / "pair.json", 2, [[[1, 0]], [[0, 1]]])
+        assert run(capsys, "isomorphic", pair, remark_file) == (
+            2, "", "error: isomorphic needs two systems of exactly three subspaces\n"
+        )
+
+    def test_example9_needs_two_coordinates(self, capsys):
+        assert run(capsys, "pentagon", "--example9", "1") == (2, "", "error: --example9 needs N >= 2, got 1\n")
+
+    def test_unknown_format_variable(self, capsys, remark_file, monkeypatch):
+        monkeypatch.setenv("SUBSPACEKIT_FORMAT", "xml")
+        assert run(capsys, "analyze", remark_file) == (
+            2, "", "error: SUBSPACEKIT_FORMAT must be 'json' or 'text', got 'xml'\n"
+        )
+
 
 class TestDecompose:
     def test_remark(self, capsys, remark_file):
@@ -689,6 +742,16 @@ class TestGenerate:
             code, _, err = run(capsys, "generate", f"--mult={bad}", "-o", out)
             assert code == 2, bad
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("mult, message", [
+        ("-1,0,0,0,0,0,0,0,1", "common must be a nonnegative integer, got -1"),
+        ("0,0,0,0,0,0,0,0,0", "at least one multiplicity must be positive"),
+    ])
+    def test_library_refusal_is_reported(self, capsys, tmp_path, mult, message):
+        # the ValueErrors of InvariantVector and compose_from_multiplicities
+        out = tmp_path / "x.json"
+        assert run(capsys, "generate", f"--mult={mult}", "-o", str(out)) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_cond_validation(self, capsys, tmp_path):
         out = str(tmp_path / "x.json")
@@ -1090,6 +1153,14 @@ def test_parser_is_built_once(capsys, monkeypatch, remark_file):
     assert code == 0
 
 
+def seed_argv(command, remark_file, out):
+    """Arguments that run ``command`` on the remark triple, or ``generate``
+    a one-atom system into ``out``."""
+    if command == "generate":
+        return ["--mult", "1,0,0,0,0,0,0,0,0", "-o", str(out)]
+    return [remark_file] * (2 if command == "isomorphic" else 1)
+
+
 class TestToleranceHandling:
     """Precedence is flags over environment over the file block over
     defaults, observable in every report's tolerances section."""
@@ -1140,6 +1211,37 @@ class TestToleranceHandling:
         assert report["seed"] == 17
         code, report = run_json(capsys, "analyze", remark_file, "--seed", "4")
         assert report["seed"] == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "isomorphic", "generate", "pentagon"])
+    def test_negative_seed_flag_is_named(self, capsys, tmp_path, remark_file, command):
+        out = tmp_path / "g.json"
+        argv = seed_argv(command, remark_file, out)
+        assert run(capsys, command, *argv, "--seed=-1") == (
+            2, "", "error: --seed must be a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "generate"])
+    def test_negative_seed_variable_is_named(self, capsys, tmp_path, remark_file, monkeypatch, command):
+        out = tmp_path / "g.json"
+        argv = seed_argv(command, remark_file, out)
+        monkeypatch.setenv("SUBSPACEKIT_SEED", "-3")
+        assert run(capsys, command, *argv) == (
+            2, "", "error: SUBSPACEKIT_SEED must be a non-negative integer, got -3\n"
+        )
+        assert not out.exists()
+        # a flag wins, so the variable is never read
+        code, report = run_json(capsys, command, *argv, "--seed", "2")
+        assert (code, report["seed"]) == (0, 2)
+
+    @pytest.mark.parametrize("command", ["analyze", "generate"])
+    def test_seed_zero_is_accepted(self, capsys, tmp_path, remark_file, monkeypatch, command):
+        argv = seed_argv(command, remark_file, tmp_path / "g.json")
+        code, report = run_json(capsys, command, *argv, "--seed", "0")
+        assert (code, report["seed"]) == (0, 0)
+        monkeypatch.setenv("SUBSPACEKIT_SEED", "0")
+        code, report = run_json(capsys, command, *argv)
+        assert (code, report["seed"]) == (0, 0)
 
     def test_bad_env_value(self, capsys, remark_file, monkeypatch):
         monkeypatch.setenv("SUBSPACEKIT_RANK_RTOL", "soft")

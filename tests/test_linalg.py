@@ -25,7 +25,7 @@ from subspacekit import (
     verify_isomorphism,
 )
 from conftest import random_subspace
-from subspacekit.linalg import DEFAULT_TOL, _column_span
+from subspacekit.linalg import DEFAULT_TOL, _collect_notes, _column_span, _numerical_rank
 
 
 def line(*entries):
@@ -144,10 +144,12 @@ class TestOrthonormalize:
         assert same_subspace(s, line(1.0, 0.0))
 
     def test_empty_set_needs_ambient(self):
-        s = orthonormalize([], ambient_dim=3)
-        assert s.dim == 0 and s.ambient_dim == 3
-        with pytest.raises(ValueError):
-            orthonormalize([])
+        # [] and a (0, 0) array carry no length
+        for empty in ([], np.zeros((0, 0))):
+            s = orthonormalize(empty, ambient_dim=3)
+            assert s.dim == 0 and s.ambient_dim == 3
+            with pytest.raises(ValueError, match="^an empty spanning set needs an explicit ambient_dim$"):
+                orthonormalize(empty)
 
     def test_zero_vectors_contribute_nothing(self):
         s = orthonormalize([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -177,6 +179,36 @@ class TestOrthonormalize:
     def test_near_cutoff_warns(self):
         with pytest.warns(ConditioningWarning):
             orthonormalize([[1.0, 0.0], [1.0, 3e-10]])
+
+    @pytest.mark.parametrize("ambient_dim", [None, 4])
+    def test_no_vectors_of_length_n_span_the_zero_subspace_of_c_n(self, ambient_dim):
+        s = orthonormalize(np.zeros((0, 4)), ambient_dim=ambient_dim)
+        assert (s.dim, s.ambient_dim) == (0, 4)
+
+    def test_one_vector_is_one_row(self):
+        s = orthonormalize([1.0, 1j, 0.0], ambient_dim=3)
+        assert s.dim == 1 and s.ambient_dim == 3
+        assert np.array_equal(s.basis, orthonormalize([[1.0, 1j, 0.0]]).basis)
+
+    @pytest.mark.parametrize("vectors", [np.zeros((0, 4)), np.ones((2, 4)), np.ones(4)],
+                             ids=["0xn", "2xn", "1-d"])
+    def test_length_must_match_ambient(self, vectors):
+        # an empty (0, 4) array is four long, as a (2, 4) one is
+        with pytest.raises(ValueError, match=r"^vectors have length 4 but ambient_dim=3 was requested$"):
+            orthonormalize(vectors, ambient_dim=3)
+
+    def test_rejects_a_3d_array(self):
+        with pytest.raises(ValueError, match=r"^expected a sequence of vectors, got an array of shape \(1, 2, 2\)$"):
+            orthonormalize(np.zeros((1, 2, 2)))
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_all_zero_spectrum_has_rank_zero_and_no_note(self, scale):
+        with _collect_notes() as notes:
+            assert _numerical_rank(np.zeros(3), DEFAULT_TOL, scale=scale) == 0
+            assert _numerical_rank(np.zeros(0), DEFAULT_TOL, scale=scale) == 0
+        assert notes == []
 
 
 class TestLatticeOps:

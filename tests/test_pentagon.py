@@ -268,6 +268,14 @@ class TestTruncatedExample:
         with pytest.raises(ValueError):
             example9_truncated(1)
 
+    def test_residual_one_short_is_refused(self, monkeypatch):
+        column_span = two_subspaces._column_span
+        monkeypatch.setattr(two_subspaces, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
+        with pytest.raises(ConditioningError, match=(
+            r"^residual of \(0, f\) and \(0, v\) against the graph came out 1-dimensional, expected 2$"
+        )):
+            example9_truncated(5)
+
 
 class TestClosednessMargin:
     @pytest.mark.parametrize("n", [1, 5, 50, 1000])

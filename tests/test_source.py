@@ -620,3 +620,99 @@ def test_detects_a_second_report_header(tmp_path):
         ("input", "cmd_decompose", 7),
         ("tolerances", "<module>", 8),
     ]
+
+
+def test_one_pentagon_split_constructor():
+    # pentagon_split builds its result in one call; each case branch gives
+    # only the fields that differ between the cases
+    assert package_calls("PentagonSplit") == [("pentagon.py", "pentagon_split")]
+
+
+def test_detects_a_second_pentagon_split_constructor(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .pentagon import PentagonSplit as Split\n"
+        "from . import pentagon\n"
+        "def pentagon_split(parts, pentagonal):\n"
+        "    if not pentagonal:\n"
+        "        return PentagonSplit(case='distributive', **parts)\n"
+        "    return Split(case='pentagon', **parts)\n"
+        "def copy(split):\n"
+        "    return pentagon.PentagonSplit(**vars(split))\n"
+    )
+    calls = [(scope, line) for callee, scope, line in function_calls(module) if callee == "PentagonSplit"]
+    assert calls == [("pentagon_split", 5), ("pentagon_split", 6), ("copy", 8)]
+
+
+def span_count_checks(path: Path) -> list:
+    """Comparisons that read the column count of a ``_column_span`` result,
+    as ``(function, line)``.  The result is the call itself, bare or wrapped
+    in one call (``Subspace(_column_span(...))``), or a name the function
+    binds to either; its count is ``.shape[1]``, ``.shape[-1]`` or ``.dim``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def called(node):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    def spans(node):
+        if isinstance(node, ast.Call) and node.args and called(node) != "_column_span":
+            node = node.args[0]
+        return isinstance(node, ast.Call) and called(node) == "_column_span"
+
+    def counted(node, names):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            if node.value.attr != "shape" or ast.unparse(node.slice) not in ("1", "-1"):
+                return False
+            node = node.value.value
+        elif isinstance(node, ast.Attribute) and node.attr == "dim":
+            node = node.value
+        else:
+            return False
+        return spans(node) or (isinstance(node, ast.Name) and node.id in names)
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {
+            target.id
+            for node in ast.walk(func) if isinstance(node, ast.Assign) and spans(node.value)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        found.extend(
+            (func.name, node.lineno)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Compare)
+            and any(counted(side, names) for side in [node.left, *node.comparators])
+        )
+    return sorted(found, key=lambda check: check[1])
+
+
+def test_one_span_count_check():
+    # a span a construction must keep at its column count (triangle
+    # families, the pentagon bridge, the example-9 residual, map_system's
+    # images) is checked by two_subspaces._part_span alone
+    found = [(path.name, name) for path in MODULES for name, _ in span_count_checks(path)]
+    assert found == [("two_subspaces.py", "_part_span")]
+
+
+def test_detects_a_second_span_count_check(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .linalg import Subspace, _column_span\n"
+        "def _part_span(part, tol, label):\n"
+        "    span = _column_span(part, tol)\n"
+        "    if span.shape[1] != part.shape[1]:\n"
+        "        raise ValueError(label)\n"
+        "def map_system(matrix, system, tol):\n"
+        "    for s in system.subspaces:\n"
+        "        image = Subspace(_column_span(matrix @ s.basis, tol))\n"
+        "        assert image.dim == s.dim\n"
+        "def example9(extra, tol):\n"
+        "    if _column_span(extra, tol).shape[-1] < 2:\n"
+        "        raise ValueError('short')\n"
+        "    outside = _column_span(extra, tol)\n"
+        "    return outside.shape[0] == extra.shape[0], outside.shape[1] + 1\n"
+    )
+    assert span_count_checks(module) == [("_part_span", 4), ("map_system", 9), ("example9", 11)]

@@ -82,6 +82,17 @@ class TestSubspaceSystem:
         mapped = map_system(t, direct_sum(atom(2), atom(9)))
         assert mapped.dims() == (2, 1, 1)
 
+    def test_map_system_refuses_a_dropped_dimension(self):
+        # a singular map folds the plane of e1 and e3 onto a line
+        system = SubspaceSystem.of(orthonormalize([[1, 0, 0], [0, 0, 1]]), line(0, 1, 0))
+        with pytest.raises(ConditioningError,
+                           match="^image of a 2-dimensional subspace came out 1-dimensional, expected 2$"):
+            map_system(np.diag([1.0, 1.0, 0.0]), system)
+
+    def test_map_system_needs_a_square_map_of_the_ambient_size(self):
+        with pytest.raises(ValueError, match=r"^map must be 3x3, got \(3, 2\)$"):
+            map_system(np.ones((3, 2)), direct_sum(atom(2), atom(9)))
+
     def test_restrict_system_round_trip(self):
         plane = orthonormalize([[1, 0, 0], [0, 1, 0]])
         system = SubspaceSystem.of(line(1, 0, 0), line(1, 1, 0))
@@ -503,6 +514,21 @@ class TestIdempotent:
         )
         with pytest.raises(ValueError, match="trivial"):
             split_by_idempotent(system, bogus)
+
+    @pytest.mark.parametrize("size, split, message", [
+        (3, (line(1, 0), line(0, 1)), r"witness map must be 2x2, got \(3, 3\)"),
+        (2, (line(1, 0, 0), line(0, 1)), "witness split lives in the wrong ambient space"),
+        (2, (line(1, 0), Subspace.zero(2)), "witness split does not fill the ambient space"),
+        (2, (line(0, 1), line(1, 0)), "first split part is not fixed by the witness map"),
+        (2, (line(1, 0), line(1, 1)), "second split part is not annihilated by the witness map"),
+    ], ids=["shape", "ambient", "fill", "fixed", "annihilated"])
+    def test_split_validates_the_witness(self, size, split, message):
+        # diag(1, 0) is a valid idempotent of the two coordinate lines; each
+        # witness breaks one of the checks made before anything is split
+        system = SubspaceSystem.of(line(1, 0), line(0, 1))
+        witness = IdempotentWitness(map=np.diag([1.0] + [0.0] * (size - 1)), split=split)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            split_by_idempotent(system, witness)
 
     def test_eigenvalue_clusters_chain_and_order(self):
         # 0.7e-6 steps chain 1, 1 + 0.7e-6i, ... into one cluster at
