@@ -32,9 +32,9 @@ SLOT_ATOMS = (8, 7, 6, 5, 2, 3, 4, 9, 1)
 def _build_atom(name: str) -> SubspaceSystem:
     """The atom housed in the InvariantVector slot ``name``."""
     if name == "triangle":
-        axis_1 = Subspace(np.array([[1.0], [0.0]], dtype=np.complex128))
-        axis_2 = Subspace(np.array([[0.0], [1.0]], dtype=np.complex128))
-        diagonal = Subspace(np.array([[1.0], [1.0]], dtype=np.complex128) / np.sqrt(2.0))
+        axis_1 = Subspace._unchecked(np.array([[1.0], [0.0]], dtype=np.complex128))
+        axis_2 = Subspace._unchecked(np.array([[0.0], [1.0]], dtype=np.complex128))
+        diagonal = Subspace._unchecked(np.array([[1.0], [1.0]], dtype=np.complex128) / np.sqrt(2.0))
         return SubspaceSystem.of(axis_1, axis_2, diagonal)
     return SubspaceSystem.of(*(Subspace.full(1) if name in held else Subspace.zero(1) for held in _HELD))
 

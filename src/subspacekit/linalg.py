@@ -5,6 +5,15 @@ columns; the zero subspace is the (n, 0) matrix and is a first-class value:
 it takes the same factorizations as any other subspace, since numpy factors
 arrays with no columns.  Projections are derived on demand and never stored.
 
+Bases are checked where they enter.  ``Subspace(basis)`` checks that the
+entries are finite and the columns orthonormal, and :func:`orthonormalize`
+that its spanning vectors are finite and of nonzero length.  A basis the
+package builds as one factorization's unitary factor (a column slice of an
+SVD's U or V, a QR's Q, or an orthonormal basis times such a slice), or as
+an exact closed form, is orthonormal by construction and is stored by
+``Subspace._unchecked`` without the k x k Gram check.  A basis whose blocks
+are orthogonal only through an earlier rank decision is checked.
+
 A basis keeps the kind of its input: bool, integer and float input is
 stored in float64, any complex input in complex128, decided by the dtype
 alone and never by the values.  A real basis spans the same subspace of
@@ -57,8 +66,9 @@ __all__ = [
     "same_subspace",
 ]
 
-# Bases are validated against this; it is deliberately looser than rank_rtol
-# so that downstream constructions may hand back bases polished only by QR.
+# Subspace(...) validates bases against this; it is deliberately looser than
+# rank_rtol so that a basis whose blocks are orthogonal only as far as a rank
+# decision made them (E3 of the example-9 truncation) still passes.
 ORTHONORMALITY_ATOL = 1e-8
 
 
@@ -178,12 +188,31 @@ def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.nda
     return u[:, : _numerical_rank(s, tol, scale=scale)]
 
 
+def _stored_basis(given) -> np.ndarray:
+    """The read-only Fortran-order copy a :class:`Subspace` keeps of a basis,
+    in the dtype :func:`_basis_dtype` gives it, its shape checked."""
+    given = np.asarray(given)
+    basis = np.array(given, dtype=_basis_dtype(given), copy=True, order="F")
+    if basis.ndim != 2:
+        raise ValueError(f"basis must be a 2-d array, got shape {basis.shape}")
+    n, k = basis.shape
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    if k > n:
+        raise ValueError(f"{k} columns cannot be independent in ambient dimension {n}")
+    basis.setflags(write=False)
+    return basis
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n, represented by an (n, k) orthonormal-column basis.
 
     The constructor validates orthonormality (within ``ORTHONORMALITY_ATOL``)
-    and freezes the array against writes.  k = 0 encodes the zero subspace.
+    and freezes a copy of the array against writes.  Every basis given from
+    outside the package takes that check; bases the package builds
+    orthonormal by construction take ``_unchecked``, which stores them the
+    same way.  k = 0 encodes the zero subspace.
     A real basis (bool, integer or float input) is stored in float64 and
     any complex one in complex128: the dtype decides, not the values.  The
     real basis spans the same subspace of C^n, and the checks are the same
@@ -194,17 +223,10 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        given = np.asarray(self.basis)
-        basis = np.array(given, dtype=_basis_dtype(given), copy=True, order="F")
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be a 2-d array, got shape {basis.shape}")
-        n, k = basis.shape
-        if n < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if k > n:
-            raise ValueError(f"{k} columns cannot be independent in ambient dimension {n}")
+        basis = _stored_basis(self.basis)
         if not np.isfinite(basis).all():
             raise ValueError("basis entries must be finite")
+        k = basis.shape[1]
         if k:
             defect = basis.conj().T @ basis
             defect.flat[:: k + 1] -= 1.0
@@ -214,8 +236,21 @@ class Subspace:
                     f"basis columns are not orthonormal (defect {worst:.3e}); "
                     "use orthonormalize() for raw spanning vectors"
                 )
-        basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _unchecked(cls, basis) -> "Subspace":
+        """A Subspace on columns orthonormal by construction, stored as the
+        constructor stores them but without the finiteness and Gram checks.
+
+        Only for a basis that is one factorization's unitary factor (a
+        column slice of an SVD's U or V, a QR's Q, or an orthonormal basis
+        times a slice of one) or an exact closed form (identity columns,
+        disjoint blocks of orthonormal bases).  A basis orthogonal only
+        through an earlier rank decision takes ``Subspace(...)``."""
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "basis", _stored_basis(basis))
+        return subspace
 
     @property
     def ambient_dim(self) -> int:
@@ -241,11 +276,11 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         """The zero subspace, stored in float64: its basis holds no values,
         and stacked with a basis of either kind it keeps that kind."""
-        return cls(np.zeros((ambient_dim, 0)))
+        return cls._unchecked(np.zeros((ambient_dim, 0)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=np.complex128))
+        return cls._unchecked(np.eye(ambient_dim, dtype=np.complex128))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -266,6 +301,8 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
     is extracted with the shared rank rule.  An empty sequence yields the
     zero subspace and needs an explicit ``ambient_dim``; a (0, n) array is
     the zero subspace of C^n, and ``ambient_dim``, when given, must be n.
+    Vectors of length 0 are refused.  The basis is the leading left singular
+    vectors of the stacked vectors, orthonormal by construction.
     """
     array = np.asarray(vectors, dtype=np.complex128)
     if array.ndim == 1:  # one vector, or none: [] is read as (0, 0)
@@ -277,6 +314,8 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
         raise ValueError(
             f"vectors have length {array.shape[1]} but ambient_dim={ambient_dim} was requested"
         )
+    if array.shape[0] and not array.shape[1]:
+        raise ValueError("spanning vectors have length 0; they need at least one coordinate")
     if array.shape[0] == 0:
         n = array.shape[1] if array.shape[1] else ambient_dim
         if n is None:
@@ -284,7 +323,7 @@ def orthonormalize(vectors, tol: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=N
         return Subspace.zero(int(n))
     if not (np.all(np.isfinite(array.real)) and np.all(np.isfinite(array.imag))):
         raise ValueError("spanning vectors must be finite")
-    return Subspace(_column_span(array.T, tol))
+    return Subspace._unchecked(_column_span(array.T, tol))
 
 
 def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
@@ -302,7 +341,7 @@ def _meet_join(a: Subspace, b: Subspace, tol: ToleranceConfig):
     rank = _numerical_rank(s, tol)
     # Each orthonormal null pair has halves of norm exactly 1/sqrt(2).
     q, _ = np.linalg.qr(a.basis @ vh[rank:, : a.dim].conj().T * np.sqrt(2.0))
-    return Subspace(q), Subspace(u[:, :rank]), (u, s, vh)
+    return Subspace._unchecked(q), Subspace._unchecked(u[:, :rank]), (u, s, vh)
 
 
 def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
@@ -322,7 +361,8 @@ def _split(e: Subspace, beyond: np.ndarray, tol: ToleranceConfig):
     u, s, vh = np.linalg.svd(beyond.conj().T @ e.basis, full_matrices=True)
     rank = _numerical_rank(s, tol, scale=2.0)
     single, _ = np.linalg.qr(e.basis @ vh[:rank].conj().T)
-    return Subspace(single), Subspace(e.basis @ vh[rank:].conj().T), Subspace(beyond @ u[:, rank:])
+    return (Subspace._unchecked(single), Subspace._unchecked(e.basis @ vh[rank:].conj().T),
+            Subspace._unchecked(beyond @ u[:, rank:]))
 
 
 def meet(a: Subspace, b: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -342,7 +382,7 @@ def complement(a: Subspace) -> Subspace:
     basis is orthonormal by invariant, so its rank is its column count (an
     (n, 0) basis too, whose ``u`` numpy gives as the identity)."""
     u, _, _ = np.linalg.svd(a.basis, full_matrices=True)
-    return Subspace(u[:, a.dim:])
+    return Subspace._unchecked(u[:, a.dim:])
 
 
 def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -367,7 +407,7 @@ def complement_within(whole: Subspace, part: Subspace, tol: ToleranceConfig = DE
         raise ConditioningError(
             f"relative complement of dimension {expected} does not split cleanly at 0.5 ({unclean})"
         )
-    return Subspace(u[:, :expected])
+    return Subspace._unchecked(u[:, :expected])
 
 
 @contextmanager

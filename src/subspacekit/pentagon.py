@@ -148,6 +148,7 @@ def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -
         # keeps full rank under the same relative cutoff: its join carries the core.
         _certify_independent((bridge, first_rest, e2, third_outside), tol, "pentagon parts")
         with _by_construction():
+            # E2 and third_outside are orthogonal through E3's rank decision: checked
             third_core = Subspace(np.hstack([e2.basis, third_outside.basis]))
             carrier = join(first_rest, third_core, tol)
             core = restrict_system(SubspaceSystem.of(first_rest, e2, third_core), carrier, tol)
@@ -196,8 +197,10 @@ def example9_truncated(n: int) -> SubspaceSystem:
     for _ in range(2):  # a second projection removes what the first left behind
         extra -= graph @ (graph.T @ extra)
     outside = _part_span(extra, DEFAULT_TOL, "residual of (0, f) and (0, v) against the graph")
+    # E3's two blocks are orthogonal only as far as the projection and the
+    # rank decision of _part_span made them, so its basis is checked
     return SubspaceSystem.of(
-        Subspace(flat), Subspace(graph), Subspace(np.hstack([graph, outside.basis]))
+        Subspace._unchecked(flat), Subspace._unchecked(graph), Subspace(np.hstack([graph, outside.basis]))
     )
 
 
@@ -216,8 +219,8 @@ def diagonal_graph_pair(n: int):
     if n < 1:
         raise ValueError("need at least one coordinate")
     weights = 1.0 / np.arange(1, n + 1)
-    flat = Subspace(np.vstack([np.eye(n), np.zeros((n, n))]))
-    return flat, Subspace(_graph_basis(weights))
+    flat = Subspace._unchecked(np.vstack([np.eye(n), np.zeros((n, n))]))
+    return flat, Subspace._unchecked(_graph_basis(weights))
 
 
 def margin_sample_points(n: int):

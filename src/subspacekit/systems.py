@@ -177,7 +177,7 @@ def direct_sum(*systems: SubspaceSystem) -> SubspaceSystem:
             basis[row : row + m.ambient_dim, column : column + m.dim] = m.basis
             row += m.ambient_dim
             column += m.dim
-        pieces.append(Subspace(basis))
+        pieces.append(Subspace._unchecked(basis))
     labels = first.labels if all(s.labels == first.labels for s in systems) else None
     return SubspaceSystem(n, tuple(pieces), labels)
 
@@ -388,12 +388,12 @@ def _accept_idempotent(
     must be clean at 0.5, as for :func:`complement_within`."""
     if _idempotent_defect(candidate, system, tol) is not None:
         return None
-    image = Subspace(_column_span(candidate, tol))
+    image = Subspace._unchecked(_column_span(candidate, tol))
     kernel_dim = system.ambient_dim - image.dim
     u, s, _ = np.linalg.svd(np.eye(system.ambient_dim) - candidate, full_matrices=False)
     if _unclean_split(s, kernel_dim):
         return None
-    return IdempotentWitness(map=candidate, split=(image, Subspace(u[:, :kernel_dim])))
+    return IdempotentWitness(map=candidate, split=(image, Subspace._unchecked(u[:, :kernel_dim])))
 
 
 def split_by_idempotent(
@@ -458,7 +458,7 @@ def _in_carrier_coords(columns: np.ndarray, carrier: Subspace) -> Subspace:
     if carrier.dim == 0:
         raise ConditioningError("a split part landed in a zero carrier")
     coords, _ = np.linalg.qr(carrier.basis.conj().T @ columns)
-    return Subspace(coords)
+    return Subspace._unchecked(coords)
 
 
 def verify_isomorphism(
@@ -490,7 +490,7 @@ def verify_isomorphism(
     gaps = []
     for e, f in zip(source.subspaces, target.subspaces):
         image = _column_span(matrix @ e.basis, tol)
-        gaps.append(gap(Subspace(image), f))
+        gaps.append(gap(Subspace._unchecked(image), f))
     gaps = tuple(float(g) for g in gaps)
     passed = invertible and (max(gaps) <= tol.residual_tol if gaps else True)
     return IsomorphismReport(gaps, sigma_min, sigma_max, passed)

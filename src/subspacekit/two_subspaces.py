@@ -160,8 +160,8 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
         # angles up to eps fold into the shared part; the rank rule kept
         # their left singular vectors, the partners x - y, in the join
         q, _ = np.linalg.qr(np.sqrt(2.0) * first.basis @ vh[k - shared:, :p].conj().T)
-        in_both = Subspace(q)
-    in_neither = Subspace(u[:, k - shared:])
+        in_both = Subspace._unchecked(q)
+    in_neither = Subspace._unchecked(u[:, k - shared:])
 
     # The cluster's a-halves have singular values 1 on only_first and 0 on
     # only_second, and the b-halves of the rotated cluster vectors are
@@ -172,9 +172,9 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
     unclean = _unclean_split(sigma, first_only)
     if unclean:
         raise ConditioningError(f"only-one parts do not split cleanly at 0.5 ({unclean})")
-    only_first = Subspace(first.basis @ directions[:, :first_only])
+    only_first = Subspace._unchecked(first.basis @ directions[:, :first_only])
     rest = cluster[p:] @ rotation[first_only:].conj().T / np.sqrt(1.0 - sigma[first_only:] ** 2)
-    only_second = Subspace(second.basis @ rest)
+    only_second = Subspace(second.basis @ rest)  # rescaled by sqrt(1 - sigma^2): checked
 
     # From each right vector (w_1; w_2), x = sqrt(2) B_1 w_1 and its left
     # vector u = (x - y) / (2 sin(t/2)) give the partner of x in E2's share
@@ -189,7 +189,7 @@ def _halmos_parts(first: Subspace, second: Subspace, meet_join, tol: ToleranceCo
     z = polish_near_orthonormal(z)
     return TwoSubspaceDecomposition(
         in_both, only_first, only_second, in_neither,
-        Subspace(x), angles, np.hstack([x, z]),
+        Subspace._unchecked(x), angles, np.hstack([x, z]),
     )
 
 
@@ -230,7 +230,7 @@ def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
     span = _column_span(part, tol)
     if span.shape[1] != part.shape[1]:
         raise ConditioningError(f"{label} came out {span.shape[1]}-dimensional, expected {part.shape[1]}")
-    return Subspace(span)
+    return Subspace._unchecked(span)
 
 
 def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> SumOperatorReport:

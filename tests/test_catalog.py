@@ -182,11 +182,13 @@ class TestComposeMatchesTheFold:
                                         InvariantVector(3, 3, 3, 3, 3, 3, 3, 3, 3)],
                              ids=["one atom", "14 atoms", "27 atoms"])
     def test_subspace_constructions_do_not_grow_with_the_atoms(self, monkeypatch, vector):
-        # one sum and one image of each of the three subspaces; the atoms
-        # are built once, when the module is imported
+        # one sum and one image of each of the three subspaces, by the
+        # checked or the unchecked route; the atoms are built once, when
+        # the module is imported
         built = []
-        post_init = Subspace.__post_init__
+        post_init, unchecked = Subspace.__post_init__, Subspace._unchecked.__func__
         monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+        monkeypatch.setattr(Subspace, "_unchecked", classmethod(lambda cls, b: built.append(1) or unchecked(cls, b)))
         compose_from_multiplicities(vector, 3, 10.0)
         assert len(built) == 2 * 3
 

@@ -201,6 +201,14 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match=r"^expected a sequence of vectors, got an array of shape \(1, 2, 2\)$"):
             orthonormalize(np.zeros((1, 2, 2)))
 
+    @pytest.mark.parametrize("vectors", [[[]], [[], []]], ids=["one", "two"])
+    def test_rejects_vectors_of_length_zero(self, vectors):
+        with pytest.raises(ValueError, match="^spanning vectors have length 0; they need at least one coordinate$"):
+            orthonormalize(vectors)
+        # a requested length names the mismatch instead
+        with pytest.raises(ValueError, match=r"^vectors have length 0 but ambient_dim=3 was requested$"):
+            orthonormalize(vectors, ambient_dim=3)
+
 
 class TestRankRule:
     @pytest.mark.parametrize("scale", [None, 1.0])

@@ -1,4 +1,5 @@
-"""Static checks on the package source, made with ``ast`` alone."""
+"""Static checks on the package source, made with ``ast`` alone, and the
+runtime count that backs the pin of the orthonormality-checked sites."""
 
 import ast
 from pathlib import Path
@@ -716,3 +717,99 @@ def test_detects_a_second_span_count_check(tmp_path):
         "    return outside.shape[0] == extra.shape[0], outside.shape[1] + 1\n"
     )
     assert span_count_checks(module) == [("_part_span", 4), ("map_system", 9), ("example9", 11)]
+
+
+# Bases built orthonormal by construction: one factorization's unitary factor
+# (an SVD's U or V sliced, a QR's Q, an orthonormal basis times either) or an
+# exact closed form.  tests/test_unchecked_bases.py runs each of them through
+# the public check.
+UNCHECKED_SITES = [
+    ("brenner.py", "_normal_form"),  # identity columns and (q1 + q2) / sqrt(2)
+    ("brenner.py", "verify_brenner"),
+    ("catalog.py", "_build_atom"),
+    ("catalog.py", "_build_atom"),
+    ("catalog.py", "_build_atom"),
+    ("linalg.py", "zero"),
+    ("linalg.py", "full"),
+    ("linalg.py", "orthonormalize"),
+    ("linalg.py", "_meet_join"),
+    ("linalg.py", "_meet_join"),
+    ("linalg.py", "_split"),
+    ("linalg.py", "_split"),
+    ("linalg.py", "_split"),
+    ("linalg.py", "complement"),
+    ("linalg.py", "complement_within"),
+    ("pentagon.py", "example9_truncated"),
+    ("pentagon.py", "example9_truncated"),
+    ("pentagon.py", "diagonal_graph_pair"),
+    ("pentagon.py", "diagonal_graph_pair"),
+    ("systems.py", "direct_sum"),  # disjoint blocks of orthonormal bases
+    ("systems.py", "_accept_idempotent"),
+    ("systems.py", "_accept_idempotent"),
+    ("systems.py", "_in_carrier_coords"),
+    ("systems.py", "verify_isomorphism"),
+    ("two_subspaces.py", "_halmos_parts"),
+    ("two_subspaces.py", "_halmos_parts"),
+    ("two_subspaces.py", "_halmos_parts"),
+    ("two_subspaces.py", "_halmos_parts"),
+    ("two_subspaces.py", "_part_span"),
+]
+
+# Internal bases whose blocks are orthogonal only through an earlier rank
+# decision, or rescaled, keep the public check.
+CHECKED_SITES = [
+    ("pentagon.py", "pentagon_split"),  # third_core = [E2 | third_outside]
+    ("pentagon.py", "example9_truncated"),  # E3 = [graph | residual span]
+    ("two_subspaces.py", "_halmos_parts"),  # only_second, divided by sqrt(1 - sigma^2)
+]
+
+
+def test_bases_are_checked_where_they_enter():
+    assert package_calls("_unchecked") == UNCHECKED_SITES
+    assert package_calls("Subspace") == CHECKED_SITES
+
+
+def test_detects_both_construction_routes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .linalg import Subspace as Basis\n"
+        "class Subspace:\n"
+        "    @classmethod\n"
+        "    def zero(cls, n):\n"
+        "        return cls._unchecked(np.zeros((n, 0)))\n"
+        "def meet(q, u, rank):\n"
+        "    return Subspace._unchecked(q), Subspace(u[:, :rank])\n"
+        "def stack(a, b):\n"
+        "    return [Basis(np.hstack([a.basis, b.basis])) for _ in range(2)]\n"
+    )
+    calls = [(callee, scope, line) for callee, scope, line in function_calls(module)
+             if callee in ("_unchecked", "Subspace")]
+    assert calls == [("_unchecked", "zero", 5), ("_unchecked", "meet", 7), ("Subspace", "meet", 7),
+                     ("Subspace", "stack", 9)]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["pentagon", "--example9", "50"], {"checked": 1, "unchecked": 15}),  # E3 alone is checked
+    (["decompose", "{system}"], {"checked": 0, "unchecked": 43}),
+], ids=["pentagon --example9 50", "decompose"])
+def test_checked_constructions_per_op(monkeypatch, tmp_path, capsys, argv, expected):
+    from subspacekit import Subspace, cli
+
+    system = str(tmp_path / "system.json")
+    assert cli.main(["generate", "--mult", "1,1,1,1,1,1,1,1,1", "--seed", "3", "--cond", "10", "-o", system]) == 0
+    built = {"checked": 0, "unchecked": 0}
+    post_init, unchecked = Subspace.__post_init__, Subspace._unchecked.__func__
+
+    def checked_route(subspace):
+        built["checked"] += 1
+        post_init(subspace)
+
+    def unchecked_route(cls, basis):
+        built["unchecked"] += 1
+        return unchecked(cls, basis)
+
+    monkeypatch.setattr(Subspace, "__post_init__", checked_route)
+    monkeypatch.setattr(Subspace, "_unchecked", classmethod(unchecked_route))
+    assert cli.main([arg.format(system=system) for arg in argv]) == 0
+    capsys.readouterr()
+    assert built == expected
