@@ -174,7 +174,12 @@ class BrennerDecomposition:
     form, ``block_matrix`` is its inverse (the blocks' bases as columns,
     in slot order), and ``residual`` is the worst gap between a mapped
     subspace and its normal-form target, by :func:`verify_isomorphism`,
-    which also gives the change of basis its condition.  ``sum_operator_sigma_min``
+    which also gives the change of basis its condition.  ``verified`` is
+    that certificate's verdict: the change of basis is invertible and
+    every gap is within ``residual_tol``.  As the nine multiplicities are a
+    complete invariant, it certifies the whole decomposition;
+    :func:`verify_brenner` checks the same fact by an independent route.
+    ``sum_operator_sigma_min``
     certifies the conditioning of the oblique split used for the triangle
     part (None when there is no triangle part).  The conditioning notes of the call (rank
     decisions near the cutoff, condition numbers over ``cond_warn``, a
@@ -196,6 +201,7 @@ class BrennerDecomposition:
     change_of_basis: np.ndarray
     block_matrix: np.ndarray
     residual: float
+    verified: bool
     sum_operator_sigma_min: Optional[float]
     warnings: tuple
 
@@ -399,6 +405,7 @@ def _assemble(system: SubspaceSystem, pieces, tol: ToleranceConfig) -> BrennerDe
         change_of_basis=change_of_basis,
         block_matrix=block_matrix,
         residual=report.max_gap,
+        verified=report.passed,
         sum_operator_sigma_min=sigma_min,
         warnings=(),
     )

@@ -37,6 +37,7 @@ import json
 import os
 import sys
 from contextvars import ContextVar
+from dataclasses import replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -49,7 +50,6 @@ from .brenner import (
     _invariants_and_witness,
     _is_double_triangle,
     brenner_decompose,
-    verify_brenner,
 )
 from .catalog import compose_from_multiplicities
 from .linalg import (
@@ -265,20 +265,26 @@ _PARSER = _build_parser()
 
 
 def _gather_overrides(args) -> dict:
-    out = {}
+    """The settings flags and SUBSPACEKIT_* variables give, keyed by
+    setting, with ``sources`` naming the flag or variable of each and
+    ``fmt`` the report format."""
+    out, sources = {}, {}
     for key, kind in _SETTINGS:
-        value, name = getattr(args, key), ENV_PREFIX + key.upper()
-        raw = os.environ.get(name)
-        if value is None and raw is not None:
-            try:
-                value = kind(raw)
-            except ValueError:
-                raise _InputError(f"{name} is not {_TYPE_NAMES[kind]}: {raw!r}")
+        value, where = getattr(args, key), "--" + key.replace("_", "-")
+        if value is None:
+            where = ENV_PREFIX + key.upper()
+            raw = os.environ.get(where)
+            if raw is not None:
+                try:
+                    value = kind(raw)
+                except ValueError:
+                    raise _InputError(f"{where} is not {_TYPE_NAMES[kind]}: {raw!r}")
         if value is not None:
             if key == "seed" and value < 0:
-                where = name if getattr(args, key) is None else "--seed"
                 raise _InputError(f"{where} must be a non-negative integer, got {value}")
             out[key] = value
+            sources[key] = where
+    out["sources"] = sources
     fmt = args.fmt or os.environ.get(ENV_PREFIX + "FORMAT")
     if fmt not in (None, "json", "text"):
         raise _InputError(f"{ENV_PREFIX}FORMAT must be 'json' or 'text', got {fmt!r}")
@@ -287,6 +293,9 @@ def _gather_overrides(args) -> dict:
 
 
 def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
+    """The tolerances of a command: the defaults, under the file block,
+    under ``overrides``.  A value :class:`ToleranceConfig` refuses is
+    reported against the file, flag or variable that gave it."""
     merged = _tol_dict(DEFAULT_TOL)
     block = file_payload.get("tolerances") if isinstance(file_payload, dict) else None
     if block is not None:
@@ -304,7 +313,18 @@ def _merge_tolerances(file_payload, overrides, where: str) -> ToleranceConfig:
     for key in _TOL_KEYS:
         if key in overrides:
             merged[key] = overrides[key]
-    return ToleranceConfig(**merged)
+    try:
+        return ToleranceConfig(**merged)
+    except ValueError:
+        # ToleranceConfig judges each value on its own, so one it refuses
+        # beside the defaults is the one to name; the defaults pass, so it
+        # came from a flag, a variable or the file.
+        for key in _TOL_KEYS:
+            try:
+                replace(DEFAULT_TOL, **{key: merged[key]})
+            except ValueError as exc:
+                raise _InputError(f"{overrides['sources'].get(key, where)}: {exc}")
+        raise
 
 
 def _parse_entry(value, where: str) -> complex:
@@ -469,14 +489,15 @@ def cmd_analyze(args, overrides):
 def cmd_decompose(args, overrides):
     system, tol = _load_triple(args, overrides)
     decomposition = brenner_decompose(system, tol)
-    check = verify_brenner(system, decomposition, tol)
-    ok = decomposition.residual <= tol.residual_tol and check.passed
+    # The normal-form certificate verifies the decomposition; its worst gap
+    # is the residual.
+    residual = _sci(decomposition.residual)
     report = {
         **_header(system, "decompose", args.file, tol),
         "block_dims": dict(zip(SLOT_NAMES, decomposition.invariants.as_tuple())),
-        "residual": _sci(decomposition.residual),
-        "verified": bool(check.passed),
-        "max_verification_gap": _sci(check.max_gap),
+        "residual": residual,
+        "verified": decomposition.verified,
+        "max_verification_gap": residual,
         "sum_operator_sigma_min": (
             _sci(decomposition.sum_operator_sigma_min)
             if decomposition.sum_operator_sigma_min is not None
@@ -487,7 +508,7 @@ def cmd_decompose(args, overrides):
     if args.emit_basis:
         report["blocks"] = {n: getattr(decomposition, n).basis.T for n in BLOCK_NAMES}
         report["change_of_basis"] = decomposition.change_of_basis
-    return report, 0 if ok else 1
+    return report, 0 if decomposition.verified else 1
 
 
 def cmd_isomorphic(args, overrides):

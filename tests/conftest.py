@@ -1,3 +1,12 @@
+import os
+
+# One BLAS thread, fixed before numpy loads, as the benchmark runs; a count
+# set in the environment is kept.  OpenBLAS's default of one thread per
+# core made the O(n^6) hom_basis tests a hundred times slower on a loaded
+# two-core host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

@@ -228,8 +228,28 @@ class TestNormalForm:
                 warnings.simplefilter("ignore", ConditioningWarning)
                 report = verify_isomorphism(d.change_of_basis, system, brenner._normal_form(d.invariants))
             assert d.residual == report.max_gap
+            assert d.verified is report.passed
             checked += 1
         assert checked > 15
+
+    def test_certificate_verdict_is_the_independent_one(self):
+        # decompose reports the certificate's verdict; verify_brenner is its
+        # independent witness: on every corpus entry decomposed, from well
+        # conditioned to scramble condition 1e10, the two verdicts agree and
+        # the invariants are right
+        verdicts = set()
+        for max_cond in (20.0, 1e6, 1e9, 1e10):
+            for vector, seed, cond in corpus_spec(max_cond=max_cond):
+                system, _ = compose_from_multiplicities(vector, seed, cond)
+                try:
+                    d = brenner_decompose(system)
+                except ConditioningError:
+                    continue
+                independent = d.residual <= DEFAULT_TOL.residual_tol and verify_brenner(system, d).passed
+                assert d.verified == independent, (max_cond, vector, seed, cond)
+                assert d.invariants == vector
+                verdicts.add(d.verified)
+        assert verdicts == {True, False}
 
 
 class TestSkeletonChecks:

@@ -527,15 +527,42 @@ class TestInputErrors:
         assert run(capsys, "analyze", str(path)) == (2, "", f"error: {path}: {message}\n")
 
     def test_refused_tolerances(self, capsys, tmp_path, remark_file):
-        # ToleranceConfig's own ValueError, from a file block and from flags
+        # ToleranceConfig's own ValueError on a file block names the file;
+        # a valid flag over the refused key wins
         path = write_system(tmp_path / "tol.json", 2, [[[1, 0]], [], []], tolerances={"rank_rtol": 2.0})
-        assert run(capsys, "analyze", path) == (2, "", "error: rank_rtol must be below 1, got 2.0\n")
-        refused = "error: rank_rtol must be finite and strictly positive, got -1.0\n"
-        assert run(capsys, "analyze", remark_file, "--rank-rtol=-1") == (2, "", refused)
+        refused = f"error: {path}: rank_rtol must be below 1, got 2.0\n"
+        assert run(capsys, "analyze", path) == (2, "", refused)
+        assert run(capsys, "analyze", path, "--residual-tol=1e-7") == (2, "", refused)
+        triple = write_system(tmp_path / "triple.json", 3, [[[1, 0, 0]], [], []],
+                              tolerances={"rank_rtol": 2.0})
+        assert run(capsys, "isomorphic", remark_file, triple) == (
+            2, "", f"error: {triple}: rank_rtol must be below 1, got 2.0\n"
+        )
+        assert run(capsys, "analyze", path, "--rank-rtol=1e-9")[0] == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "isomorphic", "generate", "pentagon"])
+    def test_refused_tolerance_flag_is_named(self, capsys, tmp_path, remark_file, command):
         out = tmp_path / "g.json"
-        assert run(capsys, "generate", "--mult", "1,0,0,0,0,0,0,0,0", "-o", str(out),
-                   "--rank-rtol=-1") == (2, "", refused)
+        argv = seed_argv(command, remark_file, out)
+        assert run(capsys, command, *argv, "--residual-tol=-1") == (
+            2, "", "error: --residual-tol: residual_tol must be finite and strictly positive, got -1.0\n"
+        )
+        assert run(capsys, command, *argv, "--rank-rtol", "2") == (
+            2, "", "error: --rank-rtol: rank_rtol must be below 1, got 2.0\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["analyze", "{file}"], ["pentagon", "--example9", "3"]],
+                             ids=["analyze", "example9"])
+    def test_refused_tolerance_variable_is_named(self, capsys, remark_file, monkeypatch, argv):
+        argv = [arg.format(file=remark_file) for arg in argv]
+        monkeypatch.setenv("SUBSPACEKIT_GAP_TOL", "0")
+        assert run(capsys, *argv) == (
+            2, "", "error: SUBSPACEKIT_GAP_TOL: gap_tol must be finite and strictly positive, got 0.0\n"
+        )
+        # a flag for the setting wins, so the variable is never read
+        code, report = run_json(capsys, *argv, "--gap-tol", "1e-9")
+        assert code == 0
 
     def test_isomorphic_needs_two_triples(self, capsys, tmp_path, remark_file):
         pair = write_system(tmp_path / "pair.json", 2, [[[1, 0]], [[0, 1]]])
@@ -580,6 +607,19 @@ class TestDecompose:
         n = report["ambient_dim"]
         assert len(report["change_of_basis"]) == n
         assert all(len(row) == n for row in report["change_of_basis"])
+
+    @pytest.mark.parametrize("seed, cond, verified", [(3, 10.0, True), (0, 1e9, False)],
+                             ids=["passing", "flagged"])
+    def test_verdict_is_the_certificate(self, capsys, tmp_path, seed, cond, verified):
+        # the verdict is the normal-form certificate's: its worst gap is the
+        # residual, and the exit code is 0 exactly when it passed
+        vector = InvariantVector(1, 1, 1, 1, 1, 1, 1, 4, 1)
+        path = generate(capsys, tmp_path / "f.json", vector, seed, cond)
+        code, report = run_json(capsys, "decompose", path)
+        assert report["block_dims"] == dict(zip(brenner.SLOT_NAMES, vector.as_tuple()))
+        assert report["max_verification_gap"] == report["residual"]
+        assert (report["verified"], code) == (verified, 0 if verified else 1)
+        assert (float(report["residual"]) <= DEFAULT_TOL.residual_tol) is verified
 
     def test_byte_determinism(self, capsys, remark_file):
         _, first, _ = run(capsys, "decompose", remark_file, "--emit-basis")
