@@ -7,142 +7,19 @@ via the nine-block canonical form whose multiplicity vector is a complete
 isomorphism invariant, and pentagon-hypothesis triples via an oblique
 bridge split.  A catalog builds systems with prescribed block structure
 for testing, and a CLI exposes the lot on JSON system files.
+
+The public names are each module's ``__all__``, re-exported here.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    ConditioningError,
-    ConditioningWarning,
-    Subspace,
-    ToleranceConfig,
-    complement,
-    complement_within,
-    contains,
-    gap,
-    join,
-    meet,
-    orthonormalize,
-    principal_angles,
-    same_subspace,
-)
-from .two_subspaces import (
-    ANGLE_EPS,
-    SumOperatorReport,
-    TwoSubspaceDecomposition,
-    halmos_decompose,
-    restricted_sum_operator,
-    sum_operator_matrix,
-)
-from .systems import (
-    HomBasis,
-    IdempotentWitness,
-    IsomorphismReport,
-    SubspaceSystem,
-    are_linearly_independent,
-    detect_double_triangle,
-    detect_pentagon,
-    direct_sum,
-    hom_basis,
-    is_commutative,
-    is_transitive,
-    map_system,
-    restrict_system,
-    split_by_idempotent,
-    verify_isomorphism,
-)
-from .brenner import (
-    SLOT_NAMES,
-    BrennerCheck,
-    BrennerDecomposition,
-    InvariantVector,
-    brenner_decompose,
-    brenner_invariants,
-    find_nontrivial_idempotent,
-    is_isomorphic_three,
-    isomorphism_between,
-    normalize_double_triangle,
-    verify_brenner,
-)
-from .pentagon import (
-    CASE_DISTRIBUTIVE,
-    CASE_PENTAGON,
-    ClosednessMargin,
-    PentagonSplit,
-    closedness_margin,
-    diagonal_graph_pair,
-    example9_truncated,
-    margin_sample_points,
-    pentagon_split,
-)
-from .catalog import (
-    SLOT_ATOMS,
-    atom,
-    compose_from_multiplicities,
-    haar_unitary,
-    remark_example,
-)
+from .linalg import *
+from .two_subspaces import *
+from .systems import *
+from .brenner import *
+from .pentagon import *
+from .catalog import *
+from . import brenner, catalog, linalg, pentagon, systems, two_subspaces
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANGLE_EPS",
-    "CASE_DISTRIBUTIVE",
-    "CASE_PENTAGON",
-    "DEFAULT_TOL",
-    "SLOT_ATOMS",
-    "SLOT_NAMES",
-    "BrennerCheck",
-    "BrennerDecomposition",
-    "ClosednessMargin",
-    "ConditioningError",
-    "ConditioningWarning",
-    "HomBasis",
-    "IdempotentWitness",
-    "InvariantVector",
-    "IsomorphismReport",
-    "PentagonSplit",
-    "Subspace",
-    "SubspaceSystem",
-    "SumOperatorReport",
-    "ToleranceConfig",
-    "TwoSubspaceDecomposition",
-    "are_linearly_independent",
-    "atom",
-    "brenner_decompose",
-    "brenner_invariants",
-    "closedness_margin",
-    "complement",
-    "complement_within",
-    "compose_from_multiplicities",
-    "contains",
-    "detect_double_triangle",
-    "detect_pentagon",
-    "diagonal_graph_pair",
-    "direct_sum",
-    "example9_truncated",
-    "find_nontrivial_idempotent",
-    "gap",
-    "haar_unitary",
-    "halmos_decompose",
-    "hom_basis",
-    "is_commutative",
-    "is_isomorphic_three",
-    "is_transitive",
-    "isomorphism_between",
-    "join",
-    "map_system",
-    "margin_sample_points",
-    "meet",
-    "normalize_double_triangle",
-    "orthonormalize",
-    "pentagon_split",
-    "principal_angles",
-    "remark_example",
-    "restrict_system",
-    "restricted_sum_operator",
-    "same_subspace",
-    "split_by_idempotent",
-    "sum_operator_matrix",
-    "verify_brenner",
-    "verify_isomorphism",
-]
+__all__ = (linalg.__all__ + two_subspaces.__all__ + systems.__all__
+           + brenner.__all__ + pentagon.__all__ + catalog.__all__)

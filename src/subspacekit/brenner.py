@@ -60,6 +60,7 @@ from .linalg import (
     _complement_in,
     _meet_join,
     _note,
+    _part_span,
     _split,
     gap,
     join,
@@ -77,9 +78,10 @@ from .systems import (
     hom_basis,
     verify_isomorphism,
 )
-from .two_subspaces import _oblique_split, _part_span
+from .two_subspaces import _oblique_split
 
 __all__ = [
+    "SLOT_NAMES",
     "BrennerCheck",
     "BrennerDecomposition",
     "InvariantVector",
@@ -538,12 +540,12 @@ def verify_brenner(
     dims_equal = q[0].dim == q[1].dim == q[2].dim
     meets, joins, _ = zip(*(_meet_join(q[i], q[j], tol) for i, j in ((0, 1), (1, 2), (2, 0))))
     meet_dims = tuple(m.dim for m in meets)
+    # the third triangle family lies in the span of the other two; with
+    # equal dimensions and zero meets, every join has twice their dimension
     join_gaps = tuple(
         float(gap(joins[i], joins[j])) for i, j in ((0, 1), (1, 2), (2, 0))
     )
-    joins_sized = all(j.dim == 2 * q[2].dim for j in joins)
 
-    # the third triangle family lies in the span of the other two
     all_blocks = [getattr(d, name) for name in _COLUMN_GROUPS]
     total = sum(b.dim for b in all_blocks)
     rank = _stacked_rank(all_blocks, tol)
@@ -553,7 +555,6 @@ def verify_brenner(
     passed = (
         max(subspace_gaps) <= tol.residual_tol
         and dims_equal
-        and joins_sized
         and all(m == 0 for m in meet_dims)
         and (not join_gaps or max(join_gaps) <= tol.residual_tol)
         and independent

@@ -37,7 +37,7 @@ import json
 import os
 import sys
 from contextvars import ContextVar
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -78,7 +78,7 @@ ENV_PREFIX = "SUBSPACEKIT_"
 # numpy sizes an array in bytes by a signed pointer-sized integer.
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-_TOL_KEYS = ("rank_rtol", "gap_tol", "residual_tol", "cond_warn")
+_TOL_KEYS = tuple(field.name for field in fields(ToleranceConfig))
 # Each setting a flag or a SUBSPACEKIT_* variable gives, with the type its
 # variable is read as; the flag wins.
 _SETTINGS = (("rank_rtol", float), ("gap_tol", float), ("residual_tol", float), ("seed", int))

@@ -45,7 +45,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,10 +104,10 @@ class ToleranceConfig:
     cond_warn: float = 1e8
 
     def __post_init__(self):
-        for name in ("rank_rtol", "gap_tol", "residual_tol", "cond_warn"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+                raise ValueError(f"{field.name} must be finite and strictly positive, got {value!r}")
         if self.rank_rtol >= 1.0:
             raise ValueError(f"rank_rtol must be below 1, got {self.rank_rtol!r}")
 
@@ -186,6 +186,16 @@ def _column_span(matrix: np.ndarray, tol: ToleranceConfig, scale=None) -> np.nda
     matrix = np.ascontiguousarray(matrix, dtype=_basis_dtype(matrix))
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     return u[:, : _numerical_rank(s, tol, scale=scale)]
+
+
+def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
+    """Span of columns that a construction must keep at their count, as one
+    part of an oblique split does when the split is reliable; ``label``
+    names them in the :class:`ConditioningError` a lower rank raises."""
+    span = _column_span(part, tol)
+    if span.shape[1] != part.shape[1]:
+        raise ConditioningError(f"{label} came out {span.shape[1]}-dimensional, expected {part.shape[1]}")
+    return Subspace._unchecked(span)
 
 
 def _stored_basis(given) -> np.ndarray:

@@ -39,13 +39,14 @@ from .linalg import (
     _by_construction,
     _complement_in,
     _meet_join,
+    _part_span,
     _split,
     contains,
     join,
     principal_angles,
 )
 from .systems import SubspaceSystem, _certify_independent, _require_arity_three, restrict_system
-from .two_subspaces import ANGLE_EPS, _oblique_split, _part_span
+from .two_subspaces import ANGLE_EPS, _oblique_split
 
 __all__ = [
     "CASE_DISTRIBUTIVE",
@@ -172,7 +173,7 @@ def example9_truncated(n: int) -> SubspaceSystem:
     E2's the graph basis (e_i, a_i e_i) / sqrt(1 + a_i^2), both exactly
     orthonormal.  E3's is the graph basis followed by an orthonormal basis
     of the 2n x 2 residual of (0, f) and (0, v) against it (projected twice).
-    That span is taken by ``two_subspaces._part_span``, the one check of a
+    That span is taken by ``linalg._part_span``, the one check of a
     span that must keep its column count: a rank other than 2 raises
     :class:`ConditioningError`.
 

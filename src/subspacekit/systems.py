@@ -30,14 +30,13 @@ from .linalg import (
     Subspace,
     ToleranceConfig,
     _column_span,
-    _meet_join,
     _numerical_rank,
+    _part_span,
     _unclean_split,
     complement,
     contains,
     gap,
 )
-from .two_subspaces import _part_span
 
 __all__ = [
     "HomBasis",
@@ -185,7 +184,7 @@ def direct_sum(*systems: SubspaceSystem) -> SubspaceSystem:
 def map_system(matrix: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceSystem:
     """Apply an invertible linear map to every subspace of a system.
 
-    Each image is spanned by ``two_subspaces._part_span``, which raises
+    Each image is spanned by ``linalg._part_span``, which raises
     :class:`ConditioningError` if it drops dimension: for an invertible map
     that can only mean the rank rule broke down.
     """
@@ -379,21 +378,33 @@ def _accept_idempotent(
     candidate: np.ndarray, system: SubspaceSystem, tol: ToleranceConfig
 ) -> Optional[IdempotentWitness]:
     """The witness for a candidate map, or None unless it passes
-    :func:`_idempotent_defect` and its kernel splits off cleanly.  Every
-    candidate, however it was produced, passes through here.
-
-    The image is the one rank decision; the kernel takes the count it
-    fixes, n - rank P, as the leading left singular vectors of I - P.  The
-    nonzero singular values of an idempotent are at least 1, so the split
-    must be clean at 0.5, as for :func:`complement_within`."""
+    :func:`_idempotent_defect` and its kernel splits off cleanly: the split
+    of the whole space by :func:`_idempotent_parts` on ``(P, I - P)``.
+    Every candidate, however it was produced, passes through here."""
     if _idempotent_defect(candidate, system, tol) is not None:
         return None
-    image = Subspace._unchecked(_column_span(candidate, tol))
-    kernel_dim = system.ambient_dim - image.dim
-    u, s, _ = np.linalg.svd(np.eye(system.ambient_dim) - candidate, full_matrices=False)
-    if _unclean_split(s, kernel_dim):
+    image, kernel, unclean = _idempotent_parts(candidate, np.eye(system.ambient_dim) - candidate)
+    if unclean:
         return None
-    return IdempotentWitness(map=candidate, split=(image, Subspace._unchecked(u[:, :kernel_dim])))
+    return IdempotentWitness(map=candidate, split=(Subspace._unchecked(image), Subspace._unchecked(kernel)))
+
+
+def _idempotent_parts(image: np.ndarray, rest: np.ndarray):
+    """``(first, second, unclean)``: the split of a space with basis B
+    along an idempotent P, given ``image`` = P B and ``rest`` = B - P B.
+
+    The nonzero singular values of an idempotent on its invariant space are
+    at least 1, so ``first`` is the left singular vectors of ``image`` from
+    0.5 up: at the rank cutoff, rounding in a witness of norm ~1e2
+    (scramble condition 1e9) would count as a dimension.  ``second`` takes
+    the count ``first`` leaves, the leading left singular vectors of
+    ``rest``, and ``unclean`` says why those fail to split cleanly at 0.5,
+    or is None."""
+    u_1, values, _ = np.linalg.svd(image, full_matrices=False)
+    kept = int(np.count_nonzero(values >= 0.5))
+    count = image.shape[1] - kept
+    u_2, sigma, _ = np.linalg.svd(rest, full_matrices=False)
+    return u_1[:, :kept], u_2[:, :count], _unclean_split(sigma, count)
 
 
 def split_by_idempotent(
@@ -432,23 +443,14 @@ def split_by_idempotent(
 
     first_parts, second_parts = [], []
     for s in system.subspaces:
-        # p is idempotent on s, so the singular values of p B are 0 or at
-        # least 1, and the part of s in the image is split at 0.5: rounding
-        # in a large p (norm ~1e2 at scramble condition 1e9) crosses the
-        # rank cutoff
         image = p @ s.basis
-        u_1, values, _ = np.linalg.svd(image, full_matrices=False)
-        # I - p is idempotent on s as well; the rest of s takes the count
-        # the image part leaves, as the kernel of _accept_idempotent does
-        rest = s.dim - np.count_nonzero(values >= 0.5)
-        u_2, sigma, _ = np.linalg.svd(s.basis - image, full_matrices=False)
-        unclean = _unclean_split(sigma, rest)
+        first, second, unclean = _idempotent_parts(image, s.basis - image)
         if unclean:
             raise ConditioningError(
                 f"subspace does not split along the idempotent within tolerance ({unclean})"
             )
-        first_parts.append(_in_carrier_coords(u_1[:, : s.dim - rest], h1))
-        second_parts.append(_in_carrier_coords(u_2[:, :rest], h2))
+        first_parts.append(_in_carrier_coords(first, h1))
+        second_parts.append(_in_carrier_coords(second, h2))
     sys1 = SubspaceSystem(h1.dim, tuple(first_parts), system.labels)
     sys2 = SubspaceSystem(h2.dim, tuple(second_parts), system.labels)
     return sys1, sys2
@@ -534,17 +536,18 @@ def _require_arity_three(system: SubspaceSystem):
 def detect_double_triangle(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True for a system of three subspaces in which every pair meets
     trivially and every pair spans the whole space, with all three parts
-    proper and nonzero."""
+    proper and nonzero.
+
+    Both hold for a pair exactly when its dimensions sum to n and its
+    stacked bases have rank n, so every dimension must be n / 2, and each
+    pair takes one values-only SVD, with the rank rule of its meet and
+    join."""
     _require_arity_three(system)
     n = system.ambient_dim
-    for s in system.subspaces:
-        if s.dim == 0 or s.dim == n:
-            return False
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        meet_ij, join_ij, _ = _meet_join(system.subspaces[i], system.subspaces[j], tol)
-        if meet_ij.dim != 0 or join_ij.dim != n:
-            return False
-    return True
+    if any(2 * s.dim != n for s in system.subspaces):
+        return False
+    e1, e2, e3 = system.subspaces
+    return all(_stacked_rank(pair, tol) == n for pair in ((e1, e2), (e1, e3), (e2, e3)))
 
 
 def detect_pentagon(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -37,7 +37,6 @@ from .linalg import (
     ConditioningError,
     Subspace,
     ToleranceConfig,
-    _column_span,
     _meet_join,
     _unclean_split,
     _warn_near_cutoff,
@@ -221,16 +220,6 @@ def _oblique_split(first: Subspace, factors, rank: int, vectors: np.ndarray):
     coeff = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ vectors) / s[:rank, None])
     v = first.basis @ coeff[: first.dim]
     return v, vectors - v
-
-
-def _part_span(part: np.ndarray, tol: ToleranceConfig, label: str) -> Subspace:
-    """Span of columns that a construction must keep at their count, as one
-    part of an oblique split does when the split is reliable; ``label``
-    names them in the :class:`ConditioningError` a lower rank raises."""
-    span = _column_span(part, tol)
-    if span.shape[1] != part.shape[1]:
-        raise ConditioningError(f"{label} came out {span.shape[1]}-dimensional, expected {part.shape[1]}")
-    return Subspace._unchecked(span)
 
 
 def restricted_sum_operator(first: Subspace, second: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> SumOperatorReport:

@@ -19,6 +19,7 @@ from subspacekit import (
     gap,
     haar_unitary,
     join,
+    linalg,
     margin_sample_points,
     meet,
     orthonormalize,
@@ -26,7 +27,6 @@ from subspacekit import (
     pentagon_split,
     same_subspace,
     systems,
-    two_subspaces,
 )
 
 
@@ -217,8 +217,8 @@ class TestSplitChecks:
 
     def test_bridge_one_short(self, monkeypatch):
         system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
-        column_span = two_subspaces._column_span
-        monkeypatch.setattr(two_subspaces, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
+        column_span = linalg._column_span
+        monkeypatch.setattr(linalg, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
         with pytest.raises(ConditioningError, match="bridge came out 2-dimensional, expected 3"):
             pentagon_split(system)
 
@@ -269,8 +269,8 @@ class TestTruncatedExample:
             example9_truncated(1)
 
     def test_residual_one_short_is_refused(self, monkeypatch):
-        column_span = two_subspaces._column_span
-        monkeypatch.setattr(two_subspaces, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
+        column_span = linalg._column_span
+        monkeypatch.setattr(linalg, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
         with pytest.raises(ConditioningError, match=(
             r"^residual of \(0, f\) and \(0, v\) against the graph came out 1-dimensional, expected 2$"
         )):

@@ -12,6 +12,7 @@ from subspacekit import (
     ConditioningError,
     ConditioningWarning,
     IdempotentWitness,
+    InvariantVector,
     Subspace,
     SubspaceSystem,
     are_linearly_independent,
@@ -36,6 +37,7 @@ from subspacekit import (
     split_by_idempotent,
     verify_isomorphism,
 )
+from subspacekit.brenner import _is_double_triangle
 from subspacekit.linalg import _numerical_rank
 from subspacekit.systems import _eigenvalue_clusters
 from conftest import corpus_spec, random_subspace
@@ -598,6 +600,43 @@ class TestPredicates:
     def test_double_triangle_needs_arity_three(self):
         with pytest.raises(ValueError):
             detect_double_triangle(SubspaceSystem.of(line(1, 0), line(0, 1)))
+
+    def test_double_triangle_takes_values_only_svds(self, monkeypatch):
+        # each pair is one rank of its stacked bases: no meet or join is
+        # built, so no QR and no singular vectors
+        system, _ = compose_from_multiplicities(InvariantVector(0, 0, 0, 0, 0, 0, 0, 3, 0), 4, 100.0)
+        calls = []
+        svd, qr = np.linalg.svd, np.linalg.qr
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(("svd", kwargs.get("compute_uv", True)))
+                            or svd(*args, **kwargs))
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(("qr",)) or qr(*args, **kwargs))
+        assert detect_double_triangle(system)
+        assert calls == [("svd", False)] * 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_double_triangle_agrees_with_the_invariants(self, k):
+        # k triangle blocks alone, and with one more block of each kind; a
+        # skeleton that refuses gives no verdict to compare with
+        rng = np.random.default_rng(k)
+        compared = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for cond in (1.0, 1e3, 1e6, 1e9):
+                for extra in (None, *range(9)):
+                    counts = [0] * 9
+                    counts[7] = k
+                    if extra is not None:
+                        counts[extra] += 1
+                    system, _ = compose_from_multiplicities(counts, int(rng.integers(0, 2**31 - 1)), cond)
+                    detected = detect_double_triangle(system)
+                    try:
+                        expected = _is_double_triangle(brenner_invariants(system))
+                    except ConditioningError:
+                        continue
+                    assert detected == expected == (extra in (None, 7))
+                    compared += 1
+        assert compared >= 36
 
     def test_pentagon_always_false_in_finite_dimension(self):
         # even a triple engineered to satisfy two of the three conditions
