@@ -4,8 +4,8 @@ The package decides, constructively and with explicit residual
 certificates, how a finite system of subspaces of a finite-dimensional
 complex inner-product space decomposes: pairs via canonical angles, triples
 via the nine-block canonical form whose multiplicity vector is a complete
-isomorphism invariant, and pentagon-hypothesis triples via an oblique
-bridge split.  A catalog builds systems with prescribed block structure
+isomorphism invariant, and pentagon-hypothesis triples by reading that
+form's blocks.  A catalog builds systems with prescribed block structure
 for testing, and a CLI exposes the lot on JSON system files.
 
 The public names are each module's ``__all__``, re-exported here.

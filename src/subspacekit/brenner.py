@@ -240,8 +240,8 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
     """All intersection-determined pieces of the decomposition.
 
     Returns a dict with the seven distributive pieces, the third triangle
-    family, the outside part, ``join_12`` = E1 + E2 and ``factors_12``, the
-    SVD of (E1, E2) from ``_meet_join``.
+    family, the outside part, ``inside_3`` = E3 ∩ (E1 + E2), ``join_12`` =
+    E1 + E2 and ``factors_12``, the SVD of (E1, E2) from ``_meet_join``.
 
     Three factorizations of pairs serve the whole lattice.  Each pair SVD
     gives the meet and join E_j + E_k and, in its full ``u``, a basis of
@@ -302,6 +302,7 @@ def _skeleton(system: SubspaceSystem, tol: ToleranceConfig):
         "single_3": single_3,
         "triangle_3": triangle_3,
         "outside": outside,
+        "inside_3": inside_3,
         "join_12": join_12,
         "factors_12": factors_12,
     }

@@ -599,6 +599,7 @@ def cmd_pentagon(args, overrides):
         if n < 2:
             raise _InputError(f"--example9 needs N >= 2, got {n}")
         _admit_ambient(2 * n, "--example9")  # the truncation lives in C^(2N)
+        tol = _merge_tolerances({}, overrides, "--")  # a refused tolerance exits before any table
         rows = []
         for m in margin_sample_points(n):
             flat, graph = diagonal_graph_pair(m)
@@ -608,7 +609,6 @@ def cmd_pentagon(args, overrides):
                 "margin": _sci(margin.min_positive_angle),
                 "arctan_1_over_n": _sci(np.arctan(1.0 / m)),
             })
-        tol = _merge_tolerances({}, overrides, "--")
         truncated = example9_truncated(n)
         report = {
             **_header(truncated, "pentagon"),

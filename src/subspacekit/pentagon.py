@@ -2,20 +2,24 @@
 
 A pentagon is a triple (E1, E2, E3) with E1 meeting E2 trivially and E2
 strictly inside E3 such that the modular law fails across the triple:
-(E1 + E2) meet E3 is strictly larger than E2 + (E1 meet E3).  In finite
-dimension a dimension count rules the full configuration out (see
-:func:`subspacekit.systems.detect_pentagon`), but a triple satisfying the
-two hypotheses still splits into well-understood parts, and
-:func:`pentagon_split` performs that split:
+(E1 + E2) meet E3 is strictly larger than E2 + (E1 meet E3).  That needs a
+sum of subspaces that is not closed, which only infinite dimension has.  In
+finite dimension E2 inside E3 gives the modular law (see
+:func:`subspacekit.systems.detect_pentagon`), so every piece of a triple
+satisfying the two hypotheses is one of Brenner's blocks, and
+:func:`pentagon_split` reads its split off the Brenner skeleton
+(:mod:`subspacekit.brenner`):
 
   * a bridge part of E1 that closes the gap between E2 and
-    E3 meet (E1 + E2), extracted with the same oblique projections used by
-    the triangle split.  E3's share of E1 + E2 and the part of E3 beyond it
-    come off the pair SVD of (E1, E2) by the split that gives the Brenner
-    skeleton its singles (:func:`subspacekit.linalg._split`);
+    E3 meet (E1 + E2): E1 meet E3, the skeleton's ``pair_13``.  The
+    witnesses spanning E3's share of E1 + E2 above E2 are split into their
+    E1 and E2 components by the same oblique projections used by the
+    triangle split;
   * either a fully distributive remainder (when E3 lies inside E1 + E2),
-    or a leftover piece of E3 outside E1 + E2 which forces an irreducible
-    pentagon-like core, returned as a restricted system.
+    the rest of E1 (``single_1``), or a leftover piece of E3 outside
+    E1 + E2 (``single_3``) with a pentagon-like core, returned as a
+    restricted system.  The core is a direct sum of ``pair_23``,
+    ``single_1`` and ``single_3`` blocks, not an irreducible system.
 
 The module also hosts a concrete family of near-degenerate pairs: the flat
 space K + 0 against the graph of diag(1, 1/2, ..., 1/n).  As n grows the
@@ -32,15 +36,15 @@ from typing import Optional
 
 import numpy as np
 
+from .brenner import _skeleton
 from .linalg import (
     DEFAULT_TOL,
+    ConditioningError,
     Subspace,
     ToleranceConfig,
     _by_construction,
     _complement_in,
-    _meet_join,
     _part_span,
-    _split,
     contains,
     join,
     principal_angles,
@@ -73,8 +77,10 @@ class PentagonSplit:
     filling E3 above E2, and ``first_remainder`` the rest of E1.
 
     ``case`` is "pentagon" when part of E3 sticks out of E1 + E2; then
-    ``third_outside`` is that part and ``pentagon_part`` the irreducible
-    core (E1', E2, E2 + third_outside) re-expressed inside its own span.
+    ``third_outside`` is that part and ``pentagon_part`` the core
+    (E1', E2, E2 + third_outside) re-expressed inside its own span.  In
+    finite dimension the core is a direct sum of Brenner's ``pair_23``,
+    ``single_1`` and ``single_3`` blocks, not an irreducible system.
 
     ``quotient_vectors`` are the witnesses u_k spanning E3's share of
     E1 + E2 above E2, and ``first_components``/``second_components`` their
@@ -108,33 +114,31 @@ class ClosednessMargin:
 def pentagon_split(system: SubspaceSystem, tol: ToleranceConfig = DEFAULT_TOL) -> PentagonSplit:
     """Split a triple satisfying the pentagon hypotheses.
 
-    Preconditions (each failure reported by name): the first and second
-    subspaces meet trivially, and the second is strictly contained in the
-    third.  Structural certificates that must hold by the theory raise
-    :class:`ConditioningError` when violated numerically.
+    Preconditions (each failure reported by name, in this order): the
+    second subspace is contained in the third, strictly, and the first and
+    second meet trivially.  The containment and its strictness take no
+    factorization; the trivial meet is read off the Brenner skeleton, which
+    gives every piece of the split.  Structural certificates that must hold
+    by the theory raise :class:`ConditioningError` when violated
+    numerically.
     """
     _require_arity_three(system)
     e1, e2, e3 = system.subspaces
-
-    meet_12, span_12, factors_12 = _meet_join(e1, e2, tol)
-    if meet_12.dim != 0:
-        raise ValueError(
-            "hypothesis failure: the first and second subspaces have a nontrivial intersection"
-        )
     if not contains(e3, e2, tol):
         raise ValueError("hypothesis failure: the second subspace is not contained in the third")
     if e2.dim >= e3.dim:
-        raise ValueError(
-            "hypothesis failure: containment of the second subspace in the third must be strict"
-        )
-
-    # E3 split against (E1 + E2)^⊥, read off the pair SVD's u
-    third_outside, inside, _ = _split(e3, factors_12[0][:, span_12.dim:], tol)
-    u = _complement_in(inside, e2, tol).basis
-    v, w = _oblique_split(e1, factors_12, span_12.dim, u)
-
-    bridge = _part_span(v, tol, "bridge")
-    first_rest = _complement_in(e1, bridge, tol)
+        raise ValueError("hypothesis failure: containment of the second subspace in the third must be strict")
+    pieces = _skeleton(system, tol)
+    if pieces["pair_12"].dim + pieces["common"].dim:
+        raise ValueError("hypothesis failure: the first and second subspaces have a nontrivial intersection")
+    # E2 inside E3 leaves E2 no single_2 or triangle block.  Then the bridge E1 ∩ E3
+    # fills E3 ∩ (E1 + E2) above E2, and single_1 fills E1 beyond the bridge.
+    if pieces["single_2"].dim + pieces["triangle_3"].dim:
+        counts = f"{pieces['single_2'].dim} single and {pieces['triangle_3'].dim} triangle blocks"
+        raise ConditioningError(f"E2 lies in E3, yet the skeleton gives it {counts}; rank decisions were inconsistent")
+    bridge, first_rest, third_outside = pieces["pair_13"], pieces["single_1"], pieces["single_3"]
+    u = _complement_in(pieces["inside_3"], e2, tol).basis
+    v, w = _oblique_split(e1, pieces["factors_12"], pieces["join_12"].dim, u)
 
     if third_outside.dim == 0:
         # Fully distributive: E3 = E2 + bridge and E1 = bridge + remainder.

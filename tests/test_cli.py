@@ -1115,6 +1115,19 @@ class TestPentagonCommand:
             f"a {2 * n} x {2 * n} complex matrix\n"
         )
 
+    @pytest.mark.parametrize("flag, variable, message", [
+        (["--rank-rtol", "2"], None, "--rank-rtol: rank_rtol must be below 1, got 2.0"),
+        ([], "0", "SUBSPACEKIT_GAP_TOL: gap_tol must be finite and strictly positive, got 0.0"),
+    ], ids=["flag", "variable"])
+    def test_example9_refuses_a_tolerance_before_any_table(self, capsys, monkeypatch, flag, variable, message):
+        # the tolerances are read before the margin table is built
+        calls = []
+        monkeypatch.setattr(cli, "diagonal_graph_pair", lambda m: calls.append(m))
+        if variable is not None:
+            monkeypatch.setenv("SUBSPACEKIT_GAP_TOL", variable)
+        assert run(capsys, "pentagon", "--example9", "1000", *flag) == (2, "", f"error: {message}\n")
+        assert calls == []
+
     def test_example9_numpy_refuses_is_located(self, capsys, monkeypatch):
         # N = 379625062 is admitted (C^759250124); numpy's refusal of a
         # later array is reported against --example9

@@ -11,6 +11,8 @@ from subspacekit import (
     InvariantVector,
     Subspace,
     SubspaceSystem,
+    brenner,
+    brenner_invariants,
     closedness_margin,
     compose_from_multiplicities,
     detect_pentagon,
@@ -23,7 +25,6 @@ from subspacekit import (
     margin_sample_points,
     meet,
     orthonormalize,
-    pentagon,
     pentagon_split,
     same_subspace,
     systems,
@@ -61,7 +62,7 @@ def distributive_fixture():
 
 
 def pentagon_fixture():
-    """Part of E3 escapes E1 + E2, leaving an irreducible core."""
+    """Part of E3 escapes E1 + E2, leaving a core of pentagon shape."""
     e1 = line(1, 0, 0)
     e2 = line(0, 0, 1)
     e3 = orthonormalize([[0, 0, 1], [0, 1, 1]])
@@ -108,18 +109,26 @@ class TestPentagonSplit:
         assert meet(core.subspaces[0], core.subspaces[2]).dim == 0
         assert core.subspaces[1].dim < core.subspaces[2].dim
 
-    def test_hypothesis_failures_are_named(self):
+    def test_hypothesis_failures_are_named(self, monkeypatch):
         shared = SubspaceSystem.of(line(1, 0), line(1, 0), Subspace.full(2))
         with pytest.raises(ValueError, match="nontrivial intersection"):
             pentagon_split(shared)
 
         not_contained = SubspaceSystem.of(line(1, 0, 0), line(0, 1, 0), line(0, 0, 1))
+        # E1 = E2 fails the trivial meet too, but the containment is named
+        both = SubspaceSystem.of(line(1, 0, 0), line(1, 0, 0), line(0, 0, 1))
+        equal = SubspaceSystem.of(line(1, 0), line(0, 1), line(0, 1))
+        # containment and strictness are checked first, with no factorization
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         with pytest.raises(ValueError, match="not contained"):
             pentagon_split(not_contained)
-
-        equal = SubspaceSystem.of(line(1, 0), line(0, 1), line(0, 1))
+        with pytest.raises(ValueError, match="the second subspace is not contained in the third"):
+            pentagon_split(both)
         with pytest.raises(ValueError, match="strict"):
             pentagon_split(equal)
+        assert calls == []
 
     def test_requires_three_subspaces(self):
         with pytest.raises(ValueError):
@@ -160,20 +169,56 @@ class TestPentagonSplit:
         assert calls == []
 
     @pytest.mark.parametrize("vector, case, svds", [
-        ((0, 2, 3, 0, 2, 0, 0, 0, 1), CASE_DISTRIBUTIVE, 6),
-        ((0, 2, 3, 0, 2, 0, 2, 0, 1), CASE_PENTAGON, 7),
+        ((0, 2, 3, 0, 2, 0, 0, 0, 1), CASE_DISTRIBUTIVE, 11),
+        ((0, 2, 3, 0, 2, 0, 2, 0, 1), CASE_PENTAGON, 12),
     ])
     def test_factorizations_per_call(self, monkeypatch, vector, case, svds):
-        # E1 ∩ E2 = 0 and E2 < E3 by the multiplicities; E3 is split against
-        # (E1 + E2)^⊥ off the pair's SVD, and the distributive case
-        # certifies its three parts independent once, which covers base and
-        # bridge, whose dimensions add up by the counts
+        # E1 ∩ E2 = 0 and E2 < E3 by the multiplicities.  The skeleton takes
+        # 9: three pair SVDs, the meet that gives common, three splits, the
+        # join of E3's two pair meets and the triangle complement.  The split
+        # adds the complement of E2 in E3's share of E1 + E2 and one
+        # independence check of its parts; the pentagon case adds the join
+        # that carries its core.
         system, _ = compose_from_multiplicities(InvariantVector(*vector), 5, 10.0)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert pentagon_split(system).case == case
         assert len(calls) == svds
+
+
+def pentagon_hypothesis_corpus(count=60, seed=2024):
+    """Seeded triples with E1 ∩ E2 = 0 and E2 < E3, as ``(vector, system)``:
+    only pair_23, pair_13, single_1, single_3 and outside blocks, half of
+    them distributive (no single_3), scrambled at condition 1 to 1e6."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        a, b, c = (int(x) for x in rng.integers(1, 5, size=3))
+        d = 0 if j % 2 == 0 else int(rng.integers(1, 5))
+        vector = InvariantVector(0, a, b, 0, c, 0, d, 0, int(rng.integers(0, 4)))
+        system, _ = compose_from_multiplicities(vector, int(rng.integers(2**31)), float(10.0 ** rng.uniform(0, 6)))
+        yield vector, system
+
+
+class TestSkeletonPieces:
+    def test_split_reads_the_planted_blocks(self):
+        # the bridge is pair_13, the remainder single_1 and the outside
+        # part single_3; the core is a direct sum of pair_23, single_1 and
+        # single_3 blocks, in the planted counts
+        for vector, system in pentagon_hypothesis_corpus():
+            found = brenner_invariants(system)
+            assert found == vector
+            split = pentagon_split(system)
+            assert split.case == (CASE_PENTAGON if found.single_3 > 0 else CASE_DISTRIBUTIVE)
+            assert split.bridge.dim == split.witness_count == found.pair_13
+            if split.case == CASE_DISTRIBUTIVE:
+                assert split.first_remainder.dim == found.single_1
+                assert split.third_outside is None and split.pentagon_part is None
+            else:
+                assert split.third_outside.dim == found.single_3
+                assert split.first_remainder is None
+                core = brenner_invariants(split.pentagon_part)
+                assert core == InvariantVector(0, vector.pair_23, 0, 0, vector.single_1, 0, vector.single_3, 0, 0)
 
 
 class TestSplitChecks:
@@ -185,7 +230,8 @@ class TestSplitChecks:
 
     def test_failed_containment_is_a_conditioning_failure(self):
         # E1 ∩ E2 = 0 and E2 strictly inside E3, yet at scramble condition
-        # 1.79e8 E2 fails to lie numerically in E3's share of E1 + E2
+        # 1.79e8 the skeleton's E3 share of E1 + E2 fails to hold the join
+        # of E1 ∩ E3 and E2 ∩ E3 numerically
         vector = InvariantVector(0, 4, 4, 0, 1, 0, 0, 0, 1)
         system, _ = compose_from_multiplicities(vector, 765229680, 1.79e8)
         with warnings.catch_warnings():
@@ -194,16 +240,18 @@ class TestSplitChecks:
                 pentagon_split(system)
 
     def test_lost_direction_of_the_third_share(self, monkeypatch):
-        # E3's share of E1 + E2 comes out one dimension short, so it no
-        # longer holds E2
+        # the skeleton's E3 share of E1 + E2 comes out one dimension short,
+        # so it no longer holds E3's shared part
         system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
-        split = pentagon._split
+        split = brenner._split
 
         def lossy(e, beyond, tol):
             single, inside, outside = split(e, beyond, tol)
-            return single, Subspace(inside.basis[:, :-1]), outside
+            if e is system.subspaces[2]:
+                inside = Subspace(inside.basis[:, :-1])
+            return single, inside, outside
 
-        monkeypatch.setattr(pentagon, "_split", lossy)
+        monkeypatch.setattr(brenner, "_split", lossy)
         with pytest.raises(ConditioningError, match="holds by construction"):
             pentagon_split(system)
 
@@ -215,11 +263,34 @@ class TestSplitChecks:
         with pytest.raises(ConditioningError, match=f"{label} are numerically dependent"):
             pentagon_split(system)
 
+    @staticmethod
+    def short_meets(monkeypatch, short):
+        """Make the skeleton's pair meets one short on the pairs ``short`` picks."""
+        meet_join = brenner._meet_join
+
+        def lossy(a, b, tol):
+            meet, joined, factors = meet_join(a, b, tol)
+            if short(a, b) and meet.dim:
+                meet = Subspace(meet.basis[:, :-1])
+            return meet, joined, factors
+
+        monkeypatch.setattr(brenner, "_meet_join", lossy)
+
     def test_bridge_one_short(self, monkeypatch):
+        # every pair meet one short leaves the bridge pair_13 and pair_23
+        # one short: the skeleton's triangle count no longer matches
         system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
-        column_span = linalg._column_span
-        monkeypatch.setattr(linalg, "_column_span", lambda m, tol: column_span(m, tol)[:, :-1])
-        with pytest.raises(ConditioningError, match="bridge came out 2-dimensional, expected 3"):
+        self.short_meets(monkeypatch, lambda a, b: True)
+        with pytest.raises(ConditioningError, match="triangle multiplicities disagree: 1 by the counts, 2 beyond"):
+            pentagon_split(system)
+
+    def test_bridge_alone_one_short(self, monkeypatch):
+        # E1 ∩ E3 alone one short passes the skeleton's counts as a triangle
+        # block, which E2 inside E3 rules out
+        system, _ = compose_from_multiplicities(self.DISTRIBUTIVE, 5, 10.0)
+        e1, _, e3 = system.subspaces
+        self.short_meets(monkeypatch, lambda a, b: a is e1 and b is e3)
+        with pytest.raises(ConditioningError, match="E2 lies in E3, yet the skeleton gives it 0 single and 1 triangle"):
             pentagon_split(system)
 
 

@@ -306,13 +306,19 @@ def test_detects_a_second_complement(tmp_path):
 
 
 def test_one_lattice_route():
-    # both constructions read the lattice of E1, E2 and E3 one way: the
-    # skeleton's one meet is common, E_i ∩ (E_j + E_k) comes off a pair
-    # SVD's join complement by _split, and a complement that holds by
-    # construction goes through linalg._complement_in
+    # the lattice of E1, E2 and E3 is read one way: the skeleton's one meet
+    # is common, E_i ∩ (E_j + E_k) comes off a pair SVD's join complement
+    # by _split, and a complement that holds by construction goes through
+    # linalg._complement_in; pentagon_split reads its pieces off one
+    # skeleton and takes no pair SVD, split or span of its own
     assert package_calls("meet") == [("brenner.py", "_skeleton")]
-    assert package_calls("_split") == [("brenner.py", "_skeleton")] * 3 + [("pentagon.py", "pentagon_split")]
+    assert package_calls("_split") == [("brenner.py", "_skeleton")] * 3
     assert package_calls("complement_within") == [("linalg.py", "_complement_in")]
+    pentagon_calls = function_calls(PACKAGE / "pentagon.py")
+    assert {callee for callee, _, _ in pentagon_calls} & {"_meet_join", "_split"} == set()
+    split_calls = [callee for callee, scope, _ in pentagon_calls if scope == "pentagon_split"]
+    assert split_calls.count("_skeleton") == 1
+    assert "_part_span" not in split_calls
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -754,8 +760,8 @@ def span_count_checks(path: Path) -> list:
 
 def test_one_span_count_check():
     # a span a construction must keep at its column count (triangle
-    # families, the pentagon bridge, the example-9 residual, map_system's
-    # images) is checked by linalg._part_span alone
+    # families, the example-9 residual, map_system's images) is checked by
+    # linalg._part_span alone
     found = [(path.name, name) for path in MODULES for name, _ in span_count_checks(path)]
     assert found == [("linalg.py", "_part_span")]
 
